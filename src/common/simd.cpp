@@ -4,8 +4,8 @@
 // leg; the AVX2 leg lives in simd_avx2.cpp (its own TU so only that file is
 // built with -mavx2 — nothing here may require more than the build's
 // baseline ISA, or the dispatcher itself would fault on older CPUs). Every
-// intrinsic leg mirrors the scalar kernel operation-for-operation: same IEEE
-// adds, same ordered compares, same min/max — only the lane count differs.
+// intrinsic leg mirrors the scalar kernel operation-for-operation: same
+// ordered compares, same max — only the lane count differs.
 // See simd.h for the bit-exactness contract.
 
 #include "common/simd.h"
@@ -39,74 +39,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Early-accept checkpoint cadence for span_fit3, in elements. Any cadence
-/// is verdict-preserving (a partial-min accept implies the full-fold accept
-/// by monotonicity of min and IEEE add), so each leg checks once per chunk
-/// instead of once per lane.
-constexpr std::size_t kSpanChunk = 16;
-
-bool fits3(const double m[3], const double add[3], const double bound[3]) {
-  return m[0] + add[0] <= bound[0] && m[1] + add[1] <= bound[1] && m[2] + add[2] <= bound[2];
-}
-
 // --------------------------------------------------------------------------
 // Scalar reference kernels. These are the semantics; the intrinsic legs are
 // proven against them bitwise by tests/test_simd.cpp.
 // --------------------------------------------------------------------------
-
-void reduce_min3_scalar(const double* a, const double* b, const double* c, std::size_t n,
-                        double m[3]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    m[0] = std::min(m[0], a[i]);
-    m[1] = std::min(m[1], b[i]);
-    m[2] = std::min(m[2], c[i]);
-  }
-}
-
-void reduce_max3_scalar(const double* a, const double* b, const double* c, std::size_t n,
-                        double m[3]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    m[0] = std::max(m[0], a[i]);
-    m[1] = std::max(m[1], b[i]);
-    m[2] = std::max(m[2], c[i]);
-  }
-}
-
-bool span_fit3_scalar(const double* a, const double* b, const double* c, std::size_t n,
-                      const double add[3], const double bound[3], double m[3]) {
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t stop = std::min(n, i + kSpanChunk);
-    for (; i < stop; ++i) {
-      m[0] = std::min(m[0], a[i]);
-      m[1] = std::min(m[1], b[i]);
-      m[2] = std::min(m[2], c[i]);
-    }
-    if (fits3(m, add, bound)) return true;
-  }
-  // n == 0: the caller's running fold may already admit the demand.
-  return fits3(m, add, bound);
-}
-
-std::size_t first_blocked3_scalar(const double* a, const double* b, const double* c,
-                                  std::size_t n, const double add[3], const double bound[3]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] + add[0] > bound[0] || b[i] + add[1] > bound[1] || c[i] + add[2] > bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
-
-std::size_t first_fit3_scalar(const double* a, const double* b, const double* c, std::size_t n,
-                              const double add[3], const double bound[3]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] + add[0] <= bound[0] && b[i] + add[1] <= bound[1] && c[i] + add[2] <= bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
 
 double reduce_max1_scalar(const double* x, std::size_t n) {
   double m = -kInf;
@@ -121,10 +57,7 @@ std::size_t first_ge_scalar(const double* x, std::size_t n, double threshold) {
   return n;
 }
 
-constexpr KernelTable kScalarTable = {
-    Target::kScalar,        &reduce_min3_scalar, &reduce_max3_scalar, &span_fit3_scalar,
-    &first_blocked3_scalar, &first_fit3_scalar,  &reduce_max1_scalar, &first_ge_scalar,
-};
+constexpr KernelTable kScalarTable = {Target::kScalar, &reduce_max1_scalar, &first_ge_scalar};
 
 // --------------------------------------------------------------------------
 // SSE2 leg: 2 x f64 lanes. Unaligned loads only over [0, n) — tails fall to
@@ -132,113 +65,6 @@ constexpr KernelTable kScalarTable = {
 // --------------------------------------------------------------------------
 
 #ifdef VMLP_SIMD_HAVE_SSE2
-
-void reduce_min3_sse2(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 2) {
-    __m128d ma = _mm_set1_pd(m[0]);
-    __m128d mb = _mm_set1_pd(m[1]);
-    __m128d mc = _mm_set1_pd(m[2]);
-    for (; i + 2 <= n; i += 2) {
-      ma = _mm_min_pd(ma, _mm_loadu_pd(a + i));
-      mb = _mm_min_pd(mb, _mm_loadu_pd(b + i));
-      mc = _mm_min_pd(mc, _mm_loadu_pd(c + i));
-    }
-    // Lane reduction in index order (lane 0 first).
-    m[0] = std::min(_mm_cvtsd_f64(ma), _mm_cvtsd_f64(_mm_unpackhi_pd(ma, ma)));
-    m[1] = std::min(_mm_cvtsd_f64(mb), _mm_cvtsd_f64(_mm_unpackhi_pd(mb, mb)));
-    m[2] = std::min(_mm_cvtsd_f64(mc), _mm_cvtsd_f64(_mm_unpackhi_pd(mc, mc)));
-  }
-  for (; i < n; ++i) {
-    m[0] = std::min(m[0], a[i]);
-    m[1] = std::min(m[1], b[i]);
-    m[2] = std::min(m[2], c[i]);
-  }
-}
-
-void reduce_max3_sse2(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 2) {
-    __m128d ma = _mm_set1_pd(m[0]);
-    __m128d mb = _mm_set1_pd(m[1]);
-    __m128d mc = _mm_set1_pd(m[2]);
-    for (; i + 2 <= n; i += 2) {
-      ma = _mm_max_pd(ma, _mm_loadu_pd(a + i));
-      mb = _mm_max_pd(mb, _mm_loadu_pd(b + i));
-      mc = _mm_max_pd(mc, _mm_loadu_pd(c + i));
-    }
-    m[0] = std::max(_mm_cvtsd_f64(ma), _mm_cvtsd_f64(_mm_unpackhi_pd(ma, ma)));
-    m[1] = std::max(_mm_cvtsd_f64(mb), _mm_cvtsd_f64(_mm_unpackhi_pd(mb, mb)));
-    m[2] = std::max(_mm_cvtsd_f64(mc), _mm_cvtsd_f64(_mm_unpackhi_pd(mc, mc)));
-  }
-  for (; i < n; ++i) {
-    m[0] = std::max(m[0], a[i]);
-    m[1] = std::max(m[1], b[i]);
-    m[2] = std::max(m[2], c[i]);
-  }
-}
-
-bool span_fit3_sse2(const double* a, const double* b, const double* c, std::size_t n,
-                    const double add[3], const double bound[3], double m[3]) {
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t stop = std::min(n, i + kSpanChunk);
-    reduce_min3_sse2(a + i, b + i, c + i, stop - i, m);
-    i = stop;
-    if (fits3(m, add, bound)) return true;
-  }
-  return fits3(m, add, bound);
-}
-
-std::size_t first_blocked3_sse2(const double* a, const double* b, const double* c, std::size_t n,
-                                const double add[3], const double bound[3]) {
-  const __m128d aa = _mm_set1_pd(add[0]);
-  const __m128d ab = _mm_set1_pd(add[1]);
-  const __m128d ac = _mm_set1_pd(add[2]);
-  const __m128d ba = _mm_set1_pd(bound[0]);
-  const __m128d bb = _mm_set1_pd(bound[1]);
-  const __m128d bc = _mm_set1_pd(bound[2]);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d hit = _mm_cmpgt_pd(_mm_add_pd(_mm_loadu_pd(a + i), aa), ba);
-    hit = _mm_or_pd(hit, _mm_cmpgt_pd(_mm_add_pd(_mm_loadu_pd(b + i), ab), bb));
-    hit = _mm_or_pd(hit, _mm_cmpgt_pd(_mm_add_pd(_mm_loadu_pd(c + i), ac), bc));
-    const int mask = _mm_movemask_pd(hit);
-    if (mask != 0) return i + ((mask & 1) != 0 ? 0 : 1);
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] > bound[0] || b[i] + add[1] > bound[1] || c[i] + add[2] > bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
-
-std::size_t first_fit3_sse2(const double* a, const double* b, const double* c, std::size_t n,
-                            const double add[3], const double bound[3]) {
-  const __m128d aa = _mm_set1_pd(add[0]);
-  const __m128d ab = _mm_set1_pd(add[1]);
-  const __m128d ac = _mm_set1_pd(add[2]);
-  const __m128d ba = _mm_set1_pd(bound[0]);
-  const __m128d bb = _mm_set1_pd(bound[1]);
-  const __m128d bc = _mm_set1_pd(bound[2]);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d fit = _mm_cmple_pd(_mm_add_pd(_mm_loadu_pd(a + i), aa), ba);
-    fit = _mm_and_pd(fit, _mm_cmple_pd(_mm_add_pd(_mm_loadu_pd(b + i), ab), bb));
-    fit = _mm_and_pd(fit, _mm_cmple_pd(_mm_add_pd(_mm_loadu_pd(c + i), ac), bc));
-    const int mask = _mm_movemask_pd(fit);
-    if (mask != 0) return i + ((mask & 1) != 0 ? 0 : 1);
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] <= bound[0] && b[i] + add[1] <= bound[1] && c[i] + add[2] <= bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
 
 double reduce_max1_sse2(const double* x, std::size_t n) {
   double m = -kInf;
@@ -265,10 +91,7 @@ std::size_t first_ge_sse2(const double* x, std::size_t n, double threshold) {
   return n;
 }
 
-constexpr KernelTable kSse2Table = {
-    Target::kSse2,        &reduce_min3_sse2, &reduce_max3_sse2, &span_fit3_sse2,
-    &first_blocked3_sse2, &first_fit3_sse2,  &reduce_max1_sse2, &first_ge_sse2,
-};
+constexpr KernelTable kSse2Table = {Target::kSse2, &reduce_max1_sse2, &first_ge_sse2};
 
 #endif  // VMLP_SIMD_HAVE_SSE2
 
@@ -277,112 +100,6 @@ constexpr KernelTable kSse2Table = {
 // --------------------------------------------------------------------------
 
 #ifdef VMLP_SIMD_HAVE_NEON
-
-void reduce_min3_neon(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 2) {
-    float64x2_t ma = vdupq_n_f64(m[0]);
-    float64x2_t mb = vdupq_n_f64(m[1]);
-    float64x2_t mc = vdupq_n_f64(m[2]);
-    for (; i + 2 <= n; i += 2) {
-      ma = vminq_f64(ma, vld1q_f64(a + i));
-      mb = vminq_f64(mb, vld1q_f64(b + i));
-      mc = vminq_f64(mc, vld1q_f64(c + i));
-    }
-    m[0] = std::min(vgetq_lane_f64(ma, 0), vgetq_lane_f64(ma, 1));
-    m[1] = std::min(vgetq_lane_f64(mb, 0), vgetq_lane_f64(mb, 1));
-    m[2] = std::min(vgetq_lane_f64(mc, 0), vgetq_lane_f64(mc, 1));
-  }
-  for (; i < n; ++i) {
-    m[0] = std::min(m[0], a[i]);
-    m[1] = std::min(m[1], b[i]);
-    m[2] = std::min(m[2], c[i]);
-  }
-}
-
-void reduce_max3_neon(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 2) {
-    float64x2_t ma = vdupq_n_f64(m[0]);
-    float64x2_t mb = vdupq_n_f64(m[1]);
-    float64x2_t mc = vdupq_n_f64(m[2]);
-    for (; i + 2 <= n; i += 2) {
-      ma = vmaxq_f64(ma, vld1q_f64(a + i));
-      mb = vmaxq_f64(mb, vld1q_f64(b + i));
-      mc = vmaxq_f64(mc, vld1q_f64(c + i));
-    }
-    m[0] = std::max(vgetq_lane_f64(ma, 0), vgetq_lane_f64(ma, 1));
-    m[1] = std::max(vgetq_lane_f64(mb, 0), vgetq_lane_f64(mb, 1));
-    m[2] = std::max(vgetq_lane_f64(mc, 0), vgetq_lane_f64(mc, 1));
-  }
-  for (; i < n; ++i) {
-    m[0] = std::max(m[0], a[i]);
-    m[1] = std::max(m[1], b[i]);
-    m[2] = std::max(m[2], c[i]);
-  }
-}
-
-bool span_fit3_neon(const double* a, const double* b, const double* c, std::size_t n,
-                    const double add[3], const double bound[3], double m[3]) {
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t stop = std::min(n, i + kSpanChunk);
-    reduce_min3_neon(a + i, b + i, c + i, stop - i, m);
-    i = stop;
-    if (fits3(m, add, bound)) return true;
-  }
-  return fits3(m, add, bound);
-}
-
-std::size_t first_blocked3_neon(const double* a, const double* b, const double* c, std::size_t n,
-                                const double add[3], const double bound[3]) {
-  const float64x2_t aa = vdupq_n_f64(add[0]);
-  const float64x2_t ab = vdupq_n_f64(add[1]);
-  const float64x2_t ac = vdupq_n_f64(add[2]);
-  const float64x2_t ba = vdupq_n_f64(bound[0]);
-  const float64x2_t bb = vdupq_n_f64(bound[1]);
-  const float64x2_t bc = vdupq_n_f64(bound[2]);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t hit = vcgtq_f64(vaddq_f64(vld1q_f64(a + i), aa), ba);
-    hit = vorrq_u64(hit, vcgtq_f64(vaddq_f64(vld1q_f64(b + i), ab), bb));
-    hit = vorrq_u64(hit, vcgtq_f64(vaddq_f64(vld1q_f64(c + i), ac), bc));
-    if (vgetq_lane_u64(hit, 0) != 0) return i;
-    if (vgetq_lane_u64(hit, 1) != 0) return i + 1;
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] > bound[0] || b[i] + add[1] > bound[1] || c[i] + add[2] > bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
-
-std::size_t first_fit3_neon(const double* a, const double* b, const double* c, std::size_t n,
-                            const double add[3], const double bound[3]) {
-  const float64x2_t aa = vdupq_n_f64(add[0]);
-  const float64x2_t ab = vdupq_n_f64(add[1]);
-  const float64x2_t ac = vdupq_n_f64(add[2]);
-  const float64x2_t ba = vdupq_n_f64(bound[0]);
-  const float64x2_t bb = vdupq_n_f64(bound[1]);
-  const float64x2_t bc = vdupq_n_f64(bound[2]);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t fit = vcleq_f64(vaddq_f64(vld1q_f64(a + i), aa), ba);
-    fit = vandq_u64(fit, vcleq_f64(vaddq_f64(vld1q_f64(b + i), ab), bb));
-    fit = vandq_u64(fit, vcleq_f64(vaddq_f64(vld1q_f64(c + i), ac), bc));
-    if (vgetq_lane_u64(fit, 0) != 0) return i;
-    if (vgetq_lane_u64(fit, 1) != 0) return i + 1;
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] <= bound[0] && b[i] + add[1] <= bound[1] && c[i] + add[2] <= bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
 
 double reduce_max1_neon(const double* x, std::size_t n) {
   double m = -kInf;
@@ -410,10 +127,7 @@ std::size_t first_ge_neon(const double* x, std::size_t n, double threshold) {
   return n;
 }
 
-constexpr KernelTable kNeonTable = {
-    Target::kNeon,        &reduce_min3_neon, &reduce_max3_neon, &span_fit3_neon,
-    &first_blocked3_neon, &first_fit3_neon,  &reduce_max1_neon, &first_ge_neon,
-};
+constexpr KernelTable kNeonTable = {Target::kNeon, &reduce_max1_neon, &first_ge_neon};
 
 #endif  // VMLP_SIMD_HAVE_NEON
 

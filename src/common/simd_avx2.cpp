@@ -6,10 +6,9 @@
 // dispatcher never selects the leg.
 //
 // Operation-for-operation the kernels mirror the scalar reference in
-// simd.cpp: same IEEE adds, same ordered compares (_CMP_*_OQ — quiet,
-// ordered, exactly the scalar <=/>/>= on the finite inputs the ledger
-// audits for), min/max folds with lane reduction in index order. Tails run
-// the scalar element loop — no masked or overhanging vector loads.
+// simd.cpp: same ordered compares (_CMP_GE_OQ — quiet, ordered, exactly the
+// scalar >= on finite inputs), max folds with lane reduction in index order.
+// Tails run the scalar element loop — no masked or overhanging vector loads.
 
 #include "common/simd.h"
 
@@ -28,138 +27,14 @@ namespace vmlp::simd::detail {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Same checkpoint cadence as the other legs (see simd.cpp kSpanChunk).
-constexpr std::size_t kSpanChunk = 16;
 
-bool fits3(const double m[3], const double add[3], const double bound[3]) {
-  return m[0] + add[0] <= bound[0] && m[1] + add[1] <= bound[1] && m[2] + add[2] <= bound[2];
-}
-
-/// Min over the 4 lanes of v, reduced in index order.
-double lane_min(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const double m01 = std::min(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
-  const double m23 = std::min(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
-  return std::min(m01, m23);
-}
-
+/// Max over the 4 lanes of v, reduced in index order.
 double lane_max(__m256d v) {
   const __m128d lo = _mm256_castpd256_pd128(v);
   const __m128d hi = _mm256_extractf128_pd(v, 1);
   const double m01 = std::max(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
   const double m23 = std::max(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
   return std::max(m01, m23);
-}
-
-void reduce_min3_avx2(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d ma = _mm256_set1_pd(m[0]);
-    __m256d mb = _mm256_set1_pd(m[1]);
-    __m256d mc = _mm256_set1_pd(m[2]);
-    for (; i + 4 <= n; i += 4) {
-      ma = _mm256_min_pd(ma, _mm256_loadu_pd(a + i));
-      mb = _mm256_min_pd(mb, _mm256_loadu_pd(b + i));
-      mc = _mm256_min_pd(mc, _mm256_loadu_pd(c + i));
-    }
-    m[0] = lane_min(ma);
-    m[1] = lane_min(mb);
-    m[2] = lane_min(mc);
-  }
-  for (; i < n; ++i) {
-    m[0] = std::min(m[0], a[i]);
-    m[1] = std::min(m[1], b[i]);
-    m[2] = std::min(m[2], c[i]);
-  }
-}
-
-void reduce_max3_avx2(const double* a, const double* b, const double* c, std::size_t n,
-                      double m[3]) {
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d ma = _mm256_set1_pd(m[0]);
-    __m256d mb = _mm256_set1_pd(m[1]);
-    __m256d mc = _mm256_set1_pd(m[2]);
-    for (; i + 4 <= n; i += 4) {
-      ma = _mm256_max_pd(ma, _mm256_loadu_pd(a + i));
-      mb = _mm256_max_pd(mb, _mm256_loadu_pd(b + i));
-      mc = _mm256_max_pd(mc, _mm256_loadu_pd(c + i));
-    }
-    m[0] = lane_max(ma);
-    m[1] = lane_max(mb);
-    m[2] = lane_max(mc);
-  }
-  for (; i < n; ++i) {
-    m[0] = std::max(m[0], a[i]);
-    m[1] = std::max(m[1], b[i]);
-    m[2] = std::max(m[2], c[i]);
-  }
-}
-
-bool span_fit3_avx2(const double* a, const double* b, const double* c, std::size_t n,
-                    const double add[3], const double bound[3], double m[3]) {
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t stop = std::min(n, i + kSpanChunk);
-    reduce_min3_avx2(a + i, b + i, c + i, stop - i, m);
-    i = stop;
-    if (fits3(m, add, bound)) return true;
-  }
-  return fits3(m, add, bound);
-}
-
-std::size_t first_blocked3_avx2(const double* a, const double* b, const double* c, std::size_t n,
-                                const double add[3], const double bound[3]) {
-  const __m256d aa = _mm256_set1_pd(add[0]);
-  const __m256d ab = _mm256_set1_pd(add[1]);
-  const __m256d ac = _mm256_set1_pd(add[2]);
-  const __m256d ba = _mm256_set1_pd(bound[0]);
-  const __m256d bb = _mm256_set1_pd(bound[1]);
-  const __m256d bc = _mm256_set1_pd(bound[2]);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d hit = _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(a + i), aa), ba, _CMP_GT_OQ);
-    hit = _mm256_or_pd(hit,
-                       _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(b + i), ab), bb, _CMP_GT_OQ));
-    hit = _mm256_or_pd(hit,
-                       _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(c + i), ac), bc, _CMP_GT_OQ));
-    const int mask = _mm256_movemask_pd(hit);
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] > bound[0] || b[i] + add[1] > bound[1] || c[i] + add[2] > bound[2]) {
-      return i;
-    }
-  }
-  return n;
-}
-
-std::size_t first_fit3_avx2(const double* a, const double* b, const double* c, std::size_t n,
-                            const double add[3], const double bound[3]) {
-  const __m256d aa = _mm256_set1_pd(add[0]);
-  const __m256d ab = _mm256_set1_pd(add[1]);
-  const __m256d ac = _mm256_set1_pd(add[2]);
-  const __m256d ba = _mm256_set1_pd(bound[0]);
-  const __m256d bb = _mm256_set1_pd(bound[1]);
-  const __m256d bc = _mm256_set1_pd(bound[2]);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d fit = _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(a + i), aa), ba, _CMP_LE_OQ);
-    fit = _mm256_and_pd(fit,
-                        _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(b + i), ab), bb, _CMP_LE_OQ));
-    fit = _mm256_and_pd(fit,
-                        _mm256_cmp_pd(_mm256_add_pd(_mm256_loadu_pd(c + i), ac), bc, _CMP_LE_OQ));
-    const int mask = _mm256_movemask_pd(fit);
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-  }
-  for (; i < n; ++i) {
-    if (a[i] + add[0] <= bound[0] && b[i] + add[1] <= bound[1] && c[i] + add[2] <= bound[2]) {
-      return i;
-    }
-  }
-  return n;
 }
 
 double reduce_max1_avx2(const double* x, std::size_t n) {
@@ -187,10 +62,7 @@ std::size_t first_ge_avx2(const double* x, std::size_t n, double threshold) {
   return n;
 }
 
-constexpr KernelTable kAvx2Table = {
-    Target::kAvx2,        &reduce_min3_avx2, &reduce_max3_avx2, &span_fit3_avx2,
-    &first_blocked3_avx2, &first_fit3_avx2,  &reduce_max1_avx2, &first_ge_avx2,
-};
+constexpr KernelTable kAvx2Table = {Target::kAvx2, &reduce_max1_avx2, &first_ge_avx2};
 
 }  // namespace
 

@@ -38,12 +38,6 @@ struct VmlpParams {
   bool volatility_aware = true;   ///< false: every request uses the mean Δt
   bool enable_delay_slot = true;
   bool enable_resource_stretch = true;
-  /// Admission fast path: per-organize memoization of slack/busy estimates
-  /// and guaranteed-fail probe pruning in admit_stage. Decision-identical to
-  /// the slow path (prunes only probes that would have failed, recomputation
-  /// yields bit-equal values); false = the pre-fast-path reference mode used
-  /// by determinism_check claim 5 and the sched.* reference benchmark.
-  bool admission_fast_path = true;
   /// Cell router: admit_stage probes machines cell by cell in the cluster
   /// topology's ranked order (least-loaded first), shedding to the next cell
   /// when one has no probeable machine, instead of scanning the flat machine

@@ -226,32 +226,30 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
   const SimDuration step =
       std::max<SimDuration>(1, params_.plan_search_window /
                                    static_cast<SimDuration>(params_.plan_search_steps));
-  const bool fast = params_.admission_fast_path;
 
   // Desired starts depend only on the machine (expected_comm is a pure
   // function of topology distance), so one computation per machine serves
   // every slip step k. probe_state_ classifies each machine on first touch:
   // 0 = untouched, 1 = must probe, 2 = every probe this stage is guaranteed
   // to fail (see quick-rejects below).
-  if (fast) {
-    // O(1) stage setup: entries are invalidated by bumping the stage epoch,
-    // never by clearing the vectors (see the probe_epoch_ declaration — an
-    // eager O(machines) assign() per stage is the latent cost that
-    // re-couples placements/sec to cluster size). probe_one initializes a
-    // machine's state/refit on first touch of the stage.
-    ++stage_epoch_;
-    if (probe_state_.size() < n_machines) {
-      probe_state_.resize(n_machines, 0);
-      probe_epoch_.resize(n_machines, 0);  // 0 != any stage_epoch_ (it starts at 1)
-      probe_refit_.resize(n_machines, std::numeric_limits<SimTime>::min());
-      probe_desired_.resize(n_machines);
-    }
-    // Covering-index hints survive across stages: the ledger validates them
-    // against its current profile, and consecutive stages probe each machine
-    // at nearby times. Refit bounds do not — they encode this stage's demand
-    // and duration.
-    if (probe_cover_.size() < n_machines) probe_cover_.resize(n_machines, cluster::kNoCoverHint);
+  //
+  // O(1) stage setup: entries are invalidated by bumping the stage epoch,
+  // never by clearing the vectors (see the probe_epoch_ declaration — an
+  // eager O(machines) assign() per stage is the latent cost that re-couples
+  // placements/sec to cluster size). probe_one initializes a machine's
+  // state/refit on first touch of the stage.
+  ++stage_epoch_;
+  if (probe_state_.size() < n_machines) {
+    probe_state_.resize(n_machines, 0);
+    probe_epoch_.resize(n_machines, 0);  // 0 != any stage_epoch_ (it starts at 1)
+    probe_refit_.resize(n_machines, std::numeric_limits<SimTime>::min());
+    probe_desired_.resize(n_machines);
   }
+  // Covering-index hints survive across stages: the ledger validates them
+  // against its current profile, and consecutive stages probe each machine
+  // at nearby times. Refit bounds do not — they encode this stage's demand
+  // and duration.
+  if (probe_cover_.size() < n_machines) probe_cover_.resize(n_machines, cluster::kNoCoverHint);
 
   auto desired_for = [&](MachineId m) {
     SimTime desired = now;
@@ -281,35 +279,25 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
   std::optional<std::pair<MachineId, SimTime>> result;
   auto probe_one = [&](MachineId m, std::size_t k, bool& any_probeable) {
     // Pruned probes still consume budget: which probe exhausts
-    // max_admit_probes must not depend on the fast path.
+    // max_admit_probes must not depend on pruning.
     if (++probes > params_.max_admit_probes) return Probe::kBudget;
     if (!iface_->cluster().machine(m).up()) return Probe::kNoFit;  // crash window
-    SimTime desired = 0;
-    std::int8_t* state = nullptr;
-    if (fast) {
-      if (probe_epoch_[m.value()] != stage_epoch_) {
-        // First touch this stage: lazily reset what the eager per-stage
-        // clear used to write for every machine.
-        probe_epoch_[m.value()] = stage_epoch_;
-        probe_state_[m.value()] = 0;
-        probe_refit_[m.value()] = std::numeric_limits<SimTime>::min();
-      }
-      state = &probe_state_[m.value()];
-      if (*state == 2) {
-        ++pruned;
-        return Probe::kNoFit;  // counted, and provably would have failed
-      }
-      if (*state == 0) {
-        desired = desired_for(m);
-        probe_desired_[m.value()] = desired;
-      } else {
-        desired = probe_desired_[m.value()];
-      }
-    } else {
-      desired = desired_for(m);
+    if (probe_epoch_[m.value()] != stage_epoch_) {
+      // First touch this stage: lazily reset what an eager per-stage clear
+      // would write for every machine.
+      probe_epoch_[m.value()] = stage_epoch_;
+      probe_state_[m.value()] = 0;
+      probe_refit_[m.value()] = std::numeric_limits<SimTime>::min();
     }
+    std::int8_t& state = probe_state_[m.value()];
+    if (state == 2) {
+      ++pruned;
+      return Probe::kNoFit;  // counted, and provably would have failed
+    }
+    if (state == 0) probe_desired_[m.value()] = desired_for(m);
+    const SimTime desired = probe_desired_[m.value()];
     const SimTime start = desired + static_cast<SimDuration>(k) * step;
-    if (fast && start < probe_refit_[m.value()]) {
+    if (start < probe_refit_[m.value()]) {
       // The window still overlaps the blocking run an earlier probe of
       // this machine hit, so it provably fails (the run's bound holds for
       // every later-starting window of the same demand and duration).
@@ -317,13 +305,13 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
       ++pruned;
       return Probe::kNoFit;
     }
-    std::size_t* cover = fast ? &probe_cover_[m.value()] : nullptr;
-    SimTime* refit = fast ? &probe_refit_[m.value()] : nullptr;
-    if (fits_with_overlay(overlay, m, start, start + slack, demand, cover, refit)) {
+    std::size_t* cover = &probe_cover_[m.value()];
+    if (fits_with_overlay(overlay, m, start, start + slack, demand, cover,
+                          &probe_refit_[m.value()])) {
       result = std::make_pair(m, start);
       return Probe::kFit;
     }
-    if (state != nullptr && *state == 0) {
+    if (state == 0) {
       // First failed probe on this machine: classify it so the slip loop
       // does not keep paying for probes that provably fail. Classification
       // is deferred until a failure because a machine whose first probe
@@ -332,7 +320,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
       if (!demand.fits_within(machine.capacity())) {
         // The bare capacity can never hold the demand; any non-negative
         // ledger level or overlay only raises the tested usage.
-        *state = 2;
+        state = 2;
       } else {
         // Every start this stage can probe lies in
         // [desired, desired + steps·step], so every probed window is a
@@ -341,18 +329,16 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         // window's max certainly cannot (max ≥ span min, and the exact
         // test adds the same non-negative demand+overlay on top).
         // span_could_fit early-exits the span fold on the usual "machine
-        // stays probeable" verdict — via the dispatched SIMD min-fold over
-        // the ledger's SoA mirrors when a vector target is active, with a
-        // verdict byte-identical to the scalar walk (common/simd.h).
+        // stays probeable" verdict.
         const SimTime span_end =
             desired + static_cast<SimDuration>(params_.plan_search_steps) * step + slack;
         // The span starts at `desired` == this k=0 probe's start, so the
         // hint the failed probe just stored is already the span's
         // covering index.
-        *state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
+        state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
       }
     }
-    if (state == nullptr || *state != 2) any_probeable = true;
+    if (state != 2) any_probeable = true;
     return Probe::kNoFit;
   };
 
@@ -362,7 +348,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
       // Tracks whether this pass met any machine that could still admit. Once
       // every up machine is classified 2 (guaranteed fail), the remaining slip
       // passes only tick the probe counter — no probe can succeed, no cursor
-      // move, and the stage ends in std::nullopt either way — so the fast path
+      // move, and the stage ends in std::nullopt either way — so the scan
       // returns that verdict immediately. Machines cannot change state while a
       // stage runs (the simulation does not advance inside admit_stage).
       bool any_probeable = false;
@@ -378,7 +364,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
             break;
         }
       }
-      if (fast && !any_probeable) return std::nullopt;
+      if (!any_probeable) return std::nullopt;
     }
     return std::nullopt;
   }
@@ -412,7 +398,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     // from there — same coverage, rotated order, still a pure function of
     // simulation state.
     std::size_t base = cursor;
-    if (fast && n_cells > 1) {
+    if (n_cells > 1) {
       const double frac = clstr.machine(MachineId(static_cast<std::uint32_t>(begin)))
                               .ledger()
                               .demand_fraction_of(demand);
@@ -422,7 +408,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         if (obs != nullptr) obs->count(obs->topology().index_jumps);
       }
     }
-    bool shed = false;  // fast path: cell has no probeable machine left
+    bool shed = false;  // cell has no probeable machine left
     for (std::size_t k = 0; k <= params_.plan_search_steps && !shed; ++k) {
       bool any_probeable = false;  // see the flat scan's comment
       for (std::size_t j = 0; j < size; ++j) {
@@ -437,7 +423,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
             break;
         }
       }
-      if (fast && !any_probeable) shed = true;
+      if (!any_probeable) shed = true;
     }
     if (obs != nullptr && n_cells > 1 && ci + 1 < visit) {
       obs->count(obs->topology().cells_shed);
@@ -496,9 +482,6 @@ bool SelfOrganizing::organize(RequestId id) {
   std::size_t failed = 0;
   for (const auto& chain : chains) {
     if (failed >= params_.max_failed_chains) break;  // saturated; retrying costs more than it buys
-    // Reference mode pays the pre-fast-path cost of re-deriving every
-    // estimate per chain attempt; the values are bit-equal either way.
-    if (!params_.admission_fast_path) ctx = make_context(*ar);
     auto plans = try_chain(*ar, chain, ctx);
     if (!plans.has_value()) {
       ++failed;

@@ -90,9 +90,7 @@ class SelfOrganizing {
   /// already-progressed nodes are invariant across the up-to
   /// `max_chain_choices` chain attempts of one organize call (profiles only
   /// record at execution time, and nothing commits until a chain succeeds),
-  /// so recomputing them per chain — the pre-fast-path behaviour — yields
-  /// bit-equal values. With `admission_fast_path` off they are rebuilt per
-  /// chain as the differential reference.
+  /// so organize() builds one context and shares it across the attempts.
   struct PlanContext {
     struct NodeEst {
       SimDuration slack = 0;
@@ -123,12 +121,12 @@ class SelfOrganizing {
                                        SimTime* refit_out = nullptr) const;
   /// Find (machine, start) for one stage; first-fit from a rotating cursor at
   /// the desired start, escalating through the slip window. nullopt = defer.
-  /// With `admission_fast_path`, machines whose capacity can never hold the
-  /// demand, or whose quietest ledger level across every start this stage
-  /// could probe already blocks it, are skipped after the first touch — the
-  /// skipped probes still count against `max_admit_probes` and are provably
-  /// ones that would have failed, so the accepted (machine, start) and the
-  /// cursor trajectory are identical to the exhaustive search.
+  /// Machines whose capacity can never hold the demand, or whose quietest
+  /// ledger level across every start this stage could probe already blocks
+  /// it, are skipped after the first touch — the skipped probes still count
+  /// against `max_admit_probes` and are provably ones that would have
+  /// failed, so the accepted (machine, start) and the cursor trajectory are
+  /// identical to the exhaustive search.
   /// With `cell_router`, the scan goes cell by cell in the topology's ranked
   /// order (per-cell cursors, shed on a probeless pass); on a single-cell
   /// topology the arithmetic degenerates bit-exactly to the flat scan.

@@ -47,25 +47,19 @@ TEST(Experiment, SingleRunProducesResults) {
   }
 }
 
-// The admission fast path (indexed flat ledger + probe pruning + memoized
-// estimates) must be decision-invisible: the same cell run against the legacy
-// map-backed ledger with the fast path off yields the same headline metrics.
-// tools/determinism_check claim 5 byte-compares the full streams; this is the
-// cheap tier-1 canary.
-TEST(Experiment, FastPathMatchesReferenceLedger) {
-  ExperimentConfig fast = small_config();
-  ExperimentConfig reference = small_config();
-  reference.driver.cluster.legacy_ledger = true;
-  reference.vmlp.admission_fast_path = false;
-  const auto rf = run_experiment(fast);
-  const auto rr = run_experiment(reference);
-  EXPECT_GT(rf.run.placements, 0u);
-  EXPECT_EQ(rf.run.placements, rr.run.placements);
-  EXPECT_EQ(rf.run.completed, rr.run.completed);
-  EXPECT_EQ(rf.run.unfinished, rr.run.unfinished);
-  EXPECT_EQ(rf.run.p99_latency_us, rr.run.p99_latency_us);
-  EXPECT_EQ(rf.run.mean_utilization, rr.run.mean_utilization);
-  EXPECT_EQ(rf.run.qos_violation_rate, rr.run.qos_violation_rate);
+// Tier-1 canary for admission decisions: the six headline metrics of
+// small_config(), pinned to the values the map-backed reference ledger with
+// unpruned, unmemoized admission produced (they matched the indexed ledger
+// bit for bit). tools/determinism_check claim 5 pins the full fig. 10/13
+// metric streams by digest; this is the cheap tier-1 form.
+TEST(Experiment, SmallConfigMatchesPinnedMetrics) {
+  const auto r = run_experiment(small_config());
+  EXPECT_EQ(r.run.placements, 1246u);
+  EXPECT_EQ(r.run.completed, 178u);
+  EXPECT_EQ(r.run.unfinished, 1u);
+  EXPECT_EQ(r.run.p99_latency_us, 227977.22999999998);
+  EXPECT_EQ(r.run.mean_utilization, 0.059284288194444451);
+  EXPECT_EQ(r.run.qos_violation_rate, 0.0055865921787709499);
 }
 
 TEST(Experiment, SeedsChangeOutcome) {

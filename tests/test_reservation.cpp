@@ -2,13 +2,17 @@
 // randomized property check against a brute-force timeline model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "cluster/reservation.h"
 #include "cluster/resources.h"
+#include "common/audit.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "obs/collector.h"
 
 namespace vmlp::cluster {
 namespace {
@@ -168,6 +172,92 @@ TEST(Ledger, QueryBeforeCompactionPointThrows) {
   ledger.reserve(100, 200, {5, 0, 0});
   ledger.compact_before(150);
   EXPECT_THROW(ledger.usage_at(50), InvariantError);
+}
+
+// A covering-index hint too far behind for the bounded forward walk falls
+// back to the binary search, and telemetry counts that as a miss, not a hit.
+TEST(Ledger, StaleHintBeyondWalkBoundCountsAsMiss) {
+#ifdef VMLP_NO_OBS
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
+  ReservationLedger ledger({100, 100, 100});
+  // 41 segments at distinct levels: [i*10, (i+1)*10) holds 0.5*(i+1).
+  for (int i = 0; i < 41; ++i) {
+    ledger.reserve(i * 10, (i + 1) * 10, {0.5 * static_cast<double>(i + 1), 0, 0});
+  }
+  obs::Params params;
+  params.enabled = true;
+  obs::Collector collector(params);
+  ledger.set_observer(&collector);
+  const auto& ids = collector.ledger();
+
+  std::size_t hint = 0;  // the origin segment, 40 segments behind t = 405
+  EXPECT_TRUE(ledger.span_could_fit(405, 406, {1, 0, 0}, &hint));
+  EXPECT_EQ(collector.counter_value(ids.hints_hit), 0u);
+  EXPECT_EQ(collector.counter_value(ids.hints_missed), 1u);
+  // The fallback still leaves the covering index in the hint, so the next
+  // nearby query resolves from it.
+  EXPECT_TRUE(ledger.span_could_fit(405, 406, {1, 0, 0}, &hint));
+  EXPECT_EQ(collector.counter_value(ids.hints_hit), 1u);
+  EXPECT_EQ(collector.counter_value(ids.hints_missed), 1u);
+}
+
+// free_fraction() reads the maintained peak without an index rebuild, so it
+// may only ever understate the guaranteed-free fraction — never overstate it.
+// Runs with the audit layer on, which checks the peak bound on every
+// mutation.
+TEST(Ledger, FreeFractionNeverExceedsRecomputedValue) {
+  const bool audit_was = audit::enabled();
+  audit::set_enabled(true);
+  const ResourceVector cap{100, 400, 50};
+  auto recomputed = [&](const ResourceVector& peak) {
+    // Same arithmetic as the ledger's headroom: (capacity - level) * (1/capacity).
+    const double h = std::min((cap.cpu - peak.cpu) * (1.0 / cap.cpu),
+                              std::min((cap.mem - peak.mem) * (1.0 / cap.mem),
+                                       (cap.io - peak.io) * (1.0 / cap.io)));
+    return std::max(0.0, h);
+  };
+  Rng rng(4242);
+  ReservationLedger ledger(cap);
+  struct Window {
+    SimTime t0, t1;
+    ResourceVector r;
+  };
+  std::vector<Window> active;
+  SimTime origin = 0;
+  for (int op = 0; op < 400; ++op) {
+    const double dice = rng.uniform();
+    if (dice < 0.45 || active.empty()) {
+      const SimTime t0 = rng.uniform_int(origin, origin + 500);
+      const Window w{t0, t0 + rng.uniform_int(1, 200),
+                     {static_cast<double>(rng.uniform_int(1, 40)),
+                      static_cast<double>(rng.uniform_int(0, 100)),
+                      static_cast<double>(rng.uniform_int(0, 20))}};
+      ledger.reserve(w.t0, w.t1, w.r);
+      active.push_back(w);
+    } else if (dice < 0.85) {
+      const auto idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1));
+      ledger.release(active[idx].t0, active[idx].t1, active[idx].r);
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else {
+      SimTime limit = origin + 100;
+      for (const Window& w : active) limit = std::min(limit, w.t0);
+      if (limit > origin) {
+        origin = rng.uniform_int(origin, limit);
+        ledger.compact_before(origin);
+        ledger.audit_invariants();
+      }
+    }
+    // Read before any indexed query: the stale-high path.
+    const double ff = ledger.free_fraction();
+    const double truth = recomputed(ledger.max_usage(origin, kTimeInfinity));
+    EXPECT_LE(ff, truth) << "op " << op;
+    // max_usage rebuilt the index, which makes the peak exact again.
+    EXPECT_EQ(ledger.free_fraction(), truth) << "op " << op;
+    ledger.audit_invariants();
+  }
+  audit::set_enabled(audit_was);
 }
 
 // Property check: random reserve/release sequences must match a brute-force

@@ -8,13 +8,12 @@
 //  * kernels — every host-reachable intrinsic leg returns bit-identical
 //    results to the scalar reference on randomized arrays covering every
 //    tail-length class (0..2 full vectors plus 0..width-1 remainder, and
-//    the ledger's 32-segment block shape).
+//    the topology's 32-machine block shape).
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -115,8 +114,8 @@ bool bits_equal(double a, double b) {
 
 class SimdKernelTest : public ::testing::Test {
  protected:
-  // Ledger-like values: mostly small non-negative levels, occasional spikes
-  // near the bound so find-first kernels hit at varied positions.
+  // Mostly small non-negative values with occasional spikes, so find-first
+  // kernels hit at varied positions.
   std::vector<double> random_plane(Rng& rng, std::size_t n) {
     std::vector<double> v(n);
     for (double& x : v) {
@@ -131,10 +130,8 @@ TEST_F(SimdKernelTest, AllLegsMatchScalarBitwise) {
   ASSERT_NE(scalar, nullptr);
   Rng rng(0xC0FFEEu);
   // Sizes cover empty, sub-vector, every remainder class for 2- and 4-wide
-  // lanes, one ledger block, and multi-chunk spans (kSpanChunk = 16).
+  // lanes, one topology block, and multi-block spans.
   const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100, 257};
-  const double add[3] = {10.0, 4.0, 1.0};
-  const double bound[3] = {100.0 + 1e-6, 100.0 + 1e-6, 100.0 + 1e-6};
   for (const Target t : reachable_targets()) {
     if (t == Target::kScalar) continue;
     const KernelTable* leg = table_for(t);
@@ -142,49 +139,6 @@ TEST_F(SimdKernelTest, AllLegsMatchScalarBitwise) {
     for (const std::size_t n : sizes) {
       for (int trial = 0; trial < 8; ++trial) {
         const auto a = random_plane(rng, n);
-        const auto b = random_plane(rng, n);
-        const auto c = random_plane(rng, n);
-
-        double m_ref[3] = {1e9, 1e9, 1e9};
-        double m_leg[3] = {1e9, 1e9, 1e9};
-        scalar->reduce_min3(a.data(), b.data(), c.data(), n, m_ref);
-        leg->reduce_min3(a.data(), b.data(), c.data(), n, m_leg);
-        for (int d = 0; d < 3; ++d) {
-          EXPECT_TRUE(bits_equal(m_ref[d], m_leg[d])) << target_name(t) << " min3 n=" << n;
-        }
-
-        double x_ref[3] = {-1e9, -1e9, -1e9};
-        double x_leg[3] = {-1e9, -1e9, -1e9};
-        scalar->reduce_max3(a.data(), b.data(), c.data(), n, x_ref);
-        leg->reduce_max3(a.data(), b.data(), c.data(), n, x_leg);
-        for (int d = 0; d < 3; ++d) {
-          EXPECT_TRUE(bits_equal(x_ref[d], x_leg[d])) << target_name(t) << " max3 n=" << n;
-        }
-
-        double s_ref[3];
-        double s_leg[3];
-        const double inf = std::numeric_limits<double>::infinity();
-        s_ref[0] = s_ref[1] = s_ref[2] = inf;
-        s_leg[0] = s_leg[1] = s_leg[2] = inf;
-        const bool fit_ref =
-            scalar->span_fit3(a.data(), b.data(), c.data(), n, add, bound, s_ref);
-        const bool fit_leg = leg->span_fit3(a.data(), b.data(), c.data(), n, add, bound, s_leg);
-        EXPECT_EQ(fit_ref, fit_leg) << target_name(t) << " span_fit3 n=" << n;
-        if (!fit_ref) {
-          // Only the reject path pins m: it must then hold the full-range
-          // min on every leg. (On accept, m is a checkpoint-dependent
-          // partial fold — explicitly outside the cross-target contract.)
-          for (int d = 0; d < 3; ++d) {
-            EXPECT_TRUE(bits_equal(s_ref[d], s_leg[d])) << target_name(t) << " span m n=" << n;
-          }
-        }
-
-        EXPECT_EQ(scalar->first_blocked3(a.data(), b.data(), c.data(), n, add, bound),
-                  leg->first_blocked3(a.data(), b.data(), c.data(), n, add, bound))
-            << target_name(t) << " first_blocked3 n=" << n;
-        EXPECT_EQ(scalar->first_fit3(a.data(), b.data(), c.data(), n, add, bound),
-                  leg->first_fit3(a.data(), b.data(), c.data(), n, add, bound))
-            << target_name(t) << " first_fit3 n=" << n;
         EXPECT_TRUE(bits_equal(scalar->reduce_max1(a.data(), n), leg->reduce_max1(a.data(), n)))
             << target_name(t) << " reduce_max1 n=" << n;
         const double thresh = rng.uniform(0.0, 120.0);
@@ -198,26 +152,13 @@ TEST_F(SimdKernelTest, AllLegsMatchScalarBitwise) {
 TEST_F(SimdKernelTest, FindFirstKernelsReportExactIndexOrder) {
   // A hit in lane 0 and lane 1 of the same vector must report lane 0 — on
   // every leg, at every alignment.
-  const double add[3] = {0.0, 0.0, 0.0};
-  const double bound[3] = {50.0, 50.0, 50.0};
   for (const Target t : reachable_targets()) {
     const KernelTable* leg = table_for(t);
     ASSERT_NE(leg, nullptr);
     for (std::size_t hit = 0; hit < 9; ++hit) {
       std::vector<double> a(12, 0.0);
-      std::vector<double> quiet(12, 0.0);
       for (std::size_t i = hit; i < a.size(); ++i) a[i] = 99.0;  // run of hits
-      EXPECT_EQ(leg->first_blocked3(a.data(), quiet.data(), quiet.data(), a.size(), add, bound),
-                hit)
-          << target_name(t);
       EXPECT_EQ(leg->first_ge(a.data(), a.size(), 99.0), hit) << target_name(t);
-      // first_fit3: invert — blocked prefix, fitting from `hit` on.
-      std::vector<double> blocked(12, 99.0);
-      for (std::size_t i = hit; i < blocked.size(); ++i) blocked[i] = 0.0;
-      EXPECT_EQ(
-          leg->first_fit3(blocked.data(), quiet.data(), quiet.data(), blocked.size(), add, bound),
-          hit)
-          << target_name(t);
     }
   }
 }

@@ -21,11 +21,14 @@
 //     schedule itself is a pure function of the seed — same seed, same
 //     windows; different seed, different windows.
 //
-//  5. The admission fast path is decision-invisible: v-MLP grids in the
-//     fig. 10 (L1 pulse, mixed stream) and fig. 13 (L2 fluctuating, high-V_r)
-//     shapes produce byte-identical metric streams with the indexed flat
-//     ledger + probe pruning + memoization enabled versus the legacy
-//     map-backed ledger with the fast path off, at 1, 4 and 8 pool threads.
+//  5. Admission decisions are pinned: v-MLP grids in the fig. 10 (L1 pulse,
+//     mixed stream) and fig. 13 (L2 fluctuating, high-V_r) shapes produce a
+//     metric stream that is byte-identical at 1, 4 and 8 pool threads and
+//     hashes (64-bit FNV-1a) to kClaim5Digest. The digest was recorded when
+//     the simulator still carried a map-backed reference ledger and an
+//     unpruned, unmemoized admission mode, and this claim proved the stream
+//     identical under both; the indexed ledger, probe pruning and estimate
+//     memoization are therefore pinned to that reference's decisions.
 //
 //  6. Telemetry collection is zero-perturbation: the claim-1 grid's trial
 //     summaries are byte-identical with the obs collector on versus off at
@@ -47,12 +50,15 @@
 //     attribution histograms actually recorded samples.
 //
 // Exit status: 0 = deterministic, 1 = divergence (first diff is printed).
+#include <cinttypes>
+#include <cstdio>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/trial_runner.h"
 #include "loadgen/patterns.h"
@@ -64,6 +70,17 @@
 namespace {
 
 using namespace vmlp;
+
+/// FNV-1a 64 of the claim-5 grid's metric stream (see make_claim5_grid).
+/// Re-pin only for a change that is meant to move v-MLP admission decisions,
+/// and say why in the change log.
+constexpr std::uint64_t kClaim5Digest = 0x36a7a24b878b7c38ULL;
+
+std::string hex_digest(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
 
 /// Canonical text form of one experiment result: every metric that reaches
 /// reports, at full precision. Byte-compared across runs.
@@ -130,11 +147,10 @@ std::vector<exp::ExperimentConfig> make_failure_grid() {
   return grid;
 }
 
-/// The claim-5 grids: v-MLP in the fig. 10 and fig. 13 report shapes (the two
+/// The claim-5 grid: v-MLP in the fig. 10 and fig. 13 report shapes (the two
 /// workload/stream combinations the paper's headline figures are built from),
-/// both seeds. `reference` switches every cell to the legacy map-backed
-/// ledger with the admission fast path off.
-std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
+/// both seeds.
+std::vector<exp::ExperimentConfig> make_claim5_grid() {
   std::vector<exp::ExperimentConfig> grid;
   struct Shape {
     loadgen::PatternKind pattern;
@@ -151,8 +167,6 @@ std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
       c.driver.horizon = 4 * kSec;
       c.driver.cluster.machine_count = 10;
       c.driver.interference.enabled = true;
-      c.driver.cluster.legacy_ledger = reference;
-      c.vmlp.admission_fast_path = !reference;
       c.pattern_params.horizon = c.driver.horizon;
       c.pattern_params.base_rate = 16.0;
       c.pattern_params.max_rate = 48.0;
@@ -167,7 +181,7 @@ std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
 /// on or off. (router=false, cells=1) is the historical flat scan; the claim
 /// is that (router=true, cells=1) cannot be told apart from it.
 std::vector<exp::ExperimentConfig> make_topology_grid(bool router, std::size_t cells) {
-  auto grid = make_fastpath_grid(/*reference=*/false);
+  auto grid = make_claim5_grid();
   for (auto& c : grid) {
     c.vmlp.cell_router = router;
     c.driver.cluster.topology.cells = cells;
@@ -384,51 +398,49 @@ int main() {
       std::cout << "OK: crash schedule is a pure function of the seed (" << sched_a.size()
                 << " windows)\n";
     }
-    // --- claim 5: the admission fast path is decision-invisible ------------
-    const auto fast_grid = make_fastpath_grid(/*reference=*/false);
-    const auto ref_grid = make_fastpath_grid(/*reference=*/true);
-    const int failures_before_fastpath = failures;
-    std::string fastpath_baseline;
+    // --- claim 5: admission decisions match the pinned reference ----------
+    const auto claim5_grid = make_claim5_grid();
+    const int failures_before_claim5 = failures;
+    std::string claim5_baseline;
     for (const std::size_t threads : {1u, 4u, 8u}) {
-      std::cout << "running fast-path vs reference-ledger grids at " << threads
-                << " thread(s)..." << std::endl;
-      const std::string fast = run_grid_stream(fast_grid, threads);
-      const std::string reference = run_grid_stream(ref_grid, threads);
-      if (fast != reference) {
-        report_divergence("fast-path vs reference-ledger metric stream (" +
-                              std::to_string(threads) + " threads)",
-                          fast, reference);
-        ++failures;
-      }
+      std::cout << "running claim-5 v-MLP grid at " << threads << " thread(s)..." << std::endl;
+      const std::string stream = run_grid_stream(claim5_grid, threads);
       if (threads == 1) {
-        fastpath_baseline = fast;
-      } else if (fast != fastpath_baseline) {
-        report_divergence("fast-path metric stream (1 vs " + std::to_string(threads) +
+        claim5_baseline = stream;
+      } else if (stream != claim5_baseline) {
+        report_divergence("claim-5 metric stream (1 vs " + std::to_string(threads) +
                               " threads)",
-                          fastpath_baseline, fast);
+                          claim5_baseline, stream);
         ++failures;
       }
     }
-    // Vacuity guards: the grids must actually admit work (a stream with zero
-    // placements compares equal for trivial reasons), and the two report
-    // shapes must genuinely differ.
-    if (fastpath_baseline.find("placements=0 ") != std::string::npos) {
-      std::cerr << "FAIL: a fast-path grid cell placed nothing — claim 5 is vacuous\n";
+    const std::uint64_t claim5_digest = hash_label(claim5_baseline);
+    if (claim5_digest != kClaim5Digest) {
+      std::cerr << "FAIL: claim-5 metric stream digest " << hex_digest(claim5_digest)
+                << " != pinned " << hex_digest(kClaim5Digest)
+                << " — an admission decision changed\n";
       ++failures;
     }
-    if (!fast_grid.empty()) {
-      const auto solo_fast = run_grid_stream({fast_grid.front()}, 1);
-      const auto solo_tail = run_grid_stream({fast_grid.back()}, 1);
-      if (solo_fast == solo_tail) {
+    // Vacuity guards: the grid must actually admit work (a stream with zero
+    // placements pins nothing about admission), and the two report shapes
+    // must genuinely differ.
+    if (claim5_baseline.find("placements=0 ") != std::string::npos) {
+      std::cerr << "FAIL: a claim-5 grid cell placed nothing — claim 5 is vacuous\n";
+      ++failures;
+    }
+    if (!claim5_grid.empty()) {
+      const auto solo_head = run_grid_stream({claim5_grid.front()}, 1);
+      const auto solo_tail = run_grid_stream({claim5_grid.back()}, 1);
+      if (solo_head == solo_tail) {
         std::cerr << "FAIL: fig. 10- and fig. 13-shaped cells produced identical streams — "
                      "the grid is not exercising distinct workloads\n";
         ++failures;
       }
     }
-    if (failures == failures_before_fastpath) {
-      std::cout << "OK: fast-path and reference-ledger streams byte-identical across "
-                   "1/4/8 threads ("
-                << fastpath_baseline.size() << " bytes)\n";
+    if (failures == failures_before_claim5) {
+      std::cout << "OK: claim-5 stream identical across 1/4/8 threads and matches the pinned "
+                   "digest "
+                << hex_digest(kClaim5Digest) << " (" << claim5_baseline.size() << " bytes)\n";
     }
 
     // --- claim 6: telemetry collection is zero-perturbation ----------------
