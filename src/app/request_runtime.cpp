@@ -11,6 +11,7 @@ const char* node_state_name(NodeState s) {
     case NodeState::kPlaced: return "placed";
     case NodeState::kRunning: return "running";
     case NodeState::kDone: return "done";
+    case NodeState::kAbandoned: return "abandoned";
   }
   return "?";
 }
@@ -117,6 +118,13 @@ std::vector<std::size_t> RequestRuntime::mark_done(std::size_t i, SimTime t) {
     if (--c.pending_parents == 0) unblocked.push_back(child);
   }
   return unblocked;
+}
+
+void RequestRuntime::mark_abandoned(std::size_t i) {
+  NodeRuntime& n = node(i);
+  VMLP_CHECK_MSG(n.state == NodeState::kReady,
+                 "abandoning node " << i << " in state " << node_state_name(n.state));
+  n.state = NodeState::kAbandoned;
 }
 
 bool RequestRuntime::independent_of_active(std::size_t i) const {

@@ -1,7 +1,8 @@
 // RequestRuntime: the execution state machine of one in-flight request.
 //
-// Tracks per-node lifecycle (waiting → ready → placed → running → done),
-// dependency counts, and per-node placement/timestamps. Shared by every
+// Tracks per-node lifecycle (waiting → ready → placed → running → done, or
+// abandoned past the retry budget), dependency counts, and per-node
+// placement/timestamps — the only lifecycle record. Shared by every
 // scheduler; scheduling *policy* stays out of this class.
 #pragma once
 
@@ -12,7 +13,7 @@
 
 namespace vmlp::app {
 
-enum class NodeState { kWaiting, kReady, kPlaced, kRunning, kDone };
+enum class NodeState { kWaiting, kReady, kPlaced, kRunning, kDone, kAbandoned };
 
 const char* node_state_name(NodeState s);
 
@@ -26,6 +27,11 @@ struct NodeRuntime {
   SimTime planned_start = -1; ///< scheduler's predicted start (v-MLP)
   SimTime started_at = -1;
   SimTime finished_at = -1;
+
+  /// Not yet placed and still placeable: waiting on parents or ready.
+  [[nodiscard]] bool unplaced() const {
+    return state == NodeState::kWaiting || state == NodeState::kReady;
+  }
 };
 
 class RequestRuntime {
@@ -63,6 +69,9 @@ class RequestRuntime {
   /// Record completion; returns children whose dependencies are now all met
   /// (they are NOT auto-marked ready — communication delay happens first).
   std::vector<std::size_t> mark_done(std::size_t i, SimTime t);
+  /// A ready node's retry budget is spent: it is never placed again and the
+  /// request stays unfinished (terminal).
+  void mark_abandoned(std::size_t i);
 
   /// A node is a delay-slot candidate iff it is still waiting/ready and none
   /// of its ancestors is currently running or late (Section III-F: candidates

@@ -18,9 +18,9 @@ std::size_t SelfHealing::on_late(RequestId id, std::size_t node,
   sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return 0;
   sched::DriverNode& dn = ar->nodes[node];
-  if (dn.running || dn.done || !dn.placed) return 0;
+  if (ar->runtime.node(node).state != app::NodeState::kPlaced) return 0;
 
-  const MachineId machine = dn.machine;
+  const MachineId machine = ar->runtime.node(node).machine;
   const SimTime vacancy_end = dn.reserved_end;
   const cluster::ResourceVector freed = dn.limit;
   if (vacancy_end <= iface_->now()) return 0;
@@ -57,7 +57,7 @@ std::size_t SelfHealing::fill_delay_slot(
   for (const auto& [rid, n] : ready_extras) {
     if (++scanned > params_.max_heal_candidates) break;
     sched::ActiveRequest* ar = iface_->find_request(rid);
-    if (ar == nullptr || ar->nodes[n].placed || ar->nodes[n].done) continue;
+    if (ar == nullptr || !ar->runtime.node(n).unplaced()) continue;
     if (!ar->runtime.independent_of_active(n)) continue;
     const auto& type = ar->runtime.type();
     const auto& svc = iface_->application().service(type.nodes()[n].service);
@@ -136,8 +136,8 @@ std::size_t SelfHealing::stretch_resources(MachineId machine,
     if (budget.near_zero()) break;
     sched::ActiveRequest* ar = iface_->find_request(rid);
     if (ar == nullptr) continue;
-    sched::DriverNode& dn = ar->nodes[n];
-    if (!dn.running) continue;
+    if (ar->runtime.node(n).state != app::NodeState::kRunning) continue;
+    const sched::DriverNode& dn = ar->nodes[n];
     const auto& svc = iface_->application().service(ar->runtime.type().nodes()[n].service);
     const cluster::ResourceVector gap = (svc.demand - dn.limit).max(cluster::ResourceVector::zero());
     if (gap.near_zero()) continue;  // already at full demand

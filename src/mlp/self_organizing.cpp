@@ -21,9 +21,9 @@ void audit_plan_integrity(const sched::ActiveRequest& ar, const std::vector<Node
     VMLP_AUDIT_ASSERT(!covered[plan.node],
                       "plan books node " << plan.node << " twice (double-booked reservation)");
     covered[plan.node] = true;
-    const sched::DriverNode& dn = ar.nodes[plan.node];
-    VMLP_AUDIT_ASSERT(!dn.placed && !dn.done,
-                      "plan books node " << plan.node << " that is already placed or finished");
+    VMLP_AUDIT_ASSERT(ar.runtime.node(plan.node).unplaced(),
+                      "plan books node " << plan.node
+                                         << " that is already placed, finished or abandoned");
     VMLP_AUDIT_ASSERT(plan.busy > 0 && plan.slack >= 0 && plan.start >= 0,
                       "plan for node " << plan.node << " has a degenerate window: start="
                                        << plan.start << " busy=" << plan.busy
@@ -31,8 +31,7 @@ void audit_plan_integrity(const sched::ActiveRequest& ar, const std::vector<Node
   }
   if (require_full_cover) {
     for (std::size_t i = 0; i < ar.nodes.size(); ++i) {
-      const sched::DriverNode& dn = ar.nodes[i];
-      if (dn.placed || dn.done) continue;
+      if (!ar.runtime.node(i).unplaced()) continue;
       VMLP_AUDIT_ASSERT(covered[i], "plan drops node " << i
                                                        << " — coalesced chain does not preserve "
                                                           "the request's stage multiset");
@@ -156,18 +155,17 @@ SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequ
   // Seed predictions for nodes that already progressed (delay-slot entrants).
   const SimTime now = iface_->now();
   for (std::size_t i = 0; i < type.size(); ++i) {
-    const sched::DriverNode& dn = ar.nodes[i];
     const auto& rn = ar.runtime.node(i);
-    if (dn.done) {
+    if (rn.state == app::NodeState::kDone) {
       ctx.seed_finish[i] = rn.finished_at;
-      ctx.seed_machine[i] = dn.machine;
-    } else if (dn.running) {
+    } else if (rn.state == app::NodeState::kRunning) {
       ctx.seed_finish[i] = std::max(now + kMsec, rn.started_at + node_est(ctx, ar, i).slack);
-      ctx.seed_machine[i] = dn.machine;
-    } else if (dn.placed) {
-      ctx.seed_finish[i] = std::max(dn.planned_start, now) + dn.reserve_duration;
-      ctx.seed_machine[i] = dn.machine;
+    } else if (rn.state == app::NodeState::kPlaced) {
+      ctx.seed_finish[i] = std::max(rn.planned_start, now) + ar.nodes[i].reserve_duration;
+    } else {
+      continue;  // unplaced or abandoned: nothing to seed
     }
+    ctx.seed_machine[i] = rn.machine;
   }
   return ctx;
 }
@@ -443,8 +441,7 @@ std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
   Overlay overlay;
   std::vector<NodePlan> plans;
   for (std::size_t node : chain) {
-    const sched::DriverNode& dn = ar.nodes[node];
-    if (dn.placed || dn.done) continue;
+    if (!ar.runtime.node(node).unplaced()) continue;
 
     const auto& req_node = type.nodes()[node];
     const auto& svc = application.service(req_node.service);
@@ -521,7 +518,7 @@ bool SelfOrganizing::organize(RequestId id) {
 bool SelfOrganizing::organize_node(RequestId id, std::size_t node) {
   sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return false;
-  if (ar->nodes[node].placed || ar->nodes[node].done) return true;
+  if (!ar->runtime.node(node).unplaced()) return true;
   const auto& type = ar->runtime.type();
   PlanContext ctx = make_context(*ar);
   auto plans = try_chain(*ar, {node}, ctx);

@@ -66,7 +66,7 @@ void VmlpScheduler::on_tick() {
   std::vector<std::pair<RequestId, std::size_t>> leftover;
   for (const auto& [id, node] : ready_) {
     sched::ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed || ar->nodes[node].done) continue;
+    if (ar == nullptr || !ar->runtime.node(node).unplaced()) continue;
     if (!organizer_->organize_node(id, node)) leftover.emplace_back(id, node);
   }
   ready_ = std::move(leftover);
@@ -75,16 +75,16 @@ void VmlpScheduler::on_tick() {
 void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
   sched::ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  sched::DriverNode& dn = ar->nodes[node];
-  if (!dn.placed || dn.running || dn.done) return;
+  const app::NodeRuntime& nr = ar->runtime.node(node);
+  if (nr.state != app::NodeState::kPlaced) return;
 
   // Relocation of the late-invoking microservice itself (Fig. 7): if its
   // dependencies are met but the planned machine keeps refusing, move the
   // stage to wherever it can execute now — overbooking the old machine at
   // the planned time would be strictly worse.
   if (ar->runtime.node(node).pending_parents == 0) {
-    const MachineId old_machine = dn.machine;
-    const SimDuration old_duration = dn.reserve_duration;
+    const MachineId old_machine = nr.machine;
+    const SimDuration old_duration = ar->nodes[node].reserve_duration;
     driver_->unplace(id, node);
     if (!organizer_->organize_node(id, node)) {
       if (driver_->cluster().machine(old_machine).up()) {
@@ -123,7 +123,7 @@ void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
                                     sched::ActiveRequest* req = driver_->find_request(rid);
                                     if (req == nullptr) return true;
                                     for (std::size_t n = 0; n < req->nodes.size(); ++n) {
-                                      if (!req->nodes[n].placed && !req->nodes[n].done) return false;
+                                      if (req->runtime.node(n).unplaced()) return false;
                                     }
                                     return true;
                                   }),
@@ -131,8 +131,7 @@ void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
     ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
                                 [this](const auto& e) {
                                   sched::ActiveRequest* req = driver_->find_request(e.first);
-                                  return req == nullptr || req->nodes[e.second].placed ||
-                                         req->nodes[e.second].done;
+                                  return req == nullptr || !req->runtime.node(e.second).unplaced();
                                 }),
                  ready_.end());
   }

@@ -6,13 +6,8 @@
 
 #include "common/audit.h"
 #include "common/error.h"
-#include "common/log.h"
 
 namespace vmlp::sched {
-
-namespace {
-// Index of running instances per machine, kept in the driver via this helper
-// key type (declared here to keep the header lean).
 
 /// Scoped host-clock accumulator around a scheduler callback. Only the
 /// outermost scope on a callback chain accumulates, so a policy that
@@ -21,35 +16,40 @@ namespace {
 /// simulation decisions — it only feeds RunResult::policy_seconds and, when
 /// telemetry is on, the collector's host-clock profiling slices (which only
 /// the Perfetto exporter reads; no byte-compared output includes them).
-class PolicyScope {
+class SimulationDriver::PolicyScope {
  public:
-  PolicyScope(std::int64_t& acc, int& depth, obs::Collector* obs, obs::PolicyCallback kind,
-              std::chrono::steady_clock::time_point epoch)
-      : acc_(acc), depth_(depth), obs_(obs), kind_(kind), epoch_(epoch) {
-    if (depth_++ == 0) start_ = std::chrono::steady_clock::now();
+  PolicyScope(SimulationDriver& driver, obs::PolicyCallback kind) : d_(driver), kind_(kind) {
+    if (d_.policy_depth_++ == 0) start_ = std::chrono::steady_clock::now();
   }
   ~PolicyScope() {
-    if (--depth_ == 0) {
+    if (--d_.policy_depth_ == 0) {
       const auto ns = [](std::chrono::steady_clock::duration d) {
         return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
       };
       const auto end = std::chrono::steady_clock::now();
       const std::int64_t dur = ns(end - start_);
-      acc_ += dur;
-      if (obs_ != nullptr) obs_->policy_slice(kind_, ns(start_ - epoch_), dur);
+      d_.policy_ns_ += dur;
+      if (d_.obs_ != nullptr) d_.obs_->policy_slice(kind_, ns(start_ - d_.policy_epoch_), dur);
     }
   }
   PolicyScope(const PolicyScope&) = delete;
   PolicyScope& operator=(const PolicyScope&) = delete;
 
  private:
-  std::int64_t& acc_;
-  int& depth_;
-  obs::Collector* obs_;
+  SimulationDriver& d_;
   obs::PolicyCallback kind_;
-  std::chrono::steady_clock::time_point epoch_;
   std::chrono::steady_clock::time_point start_;
 };
+
+namespace {
+using app::NodeState;
+
+void cancel_event(sim::Engine& engine, sim::EventHandle& ev) {
+  if (ev.valid()) {
+    engine.cancel(ev);
+    ev = {};
+  }
+}
 }  // namespace
 
 SimulationDriver::SimulationDriver(const app::Application& application, IScheduler& scheduler,
@@ -80,6 +80,7 @@ SimulationDriver::SimulationDriver(const app::Application& application, ISchedul
       cluster_.machine(MachineId(static_cast<std::uint32_t>(m))).ledger().set_observer(obs_.get());
     }
   }
+  running_on_.resize(cluster_.machine_count());
   volatility_cache_.resize(app_.request_count(), 0.0);
   for (const auto& rt : app_.requests()) {
     qos_.set_slo(rt.id(), rt.slo());
@@ -148,40 +149,36 @@ void SimulationDriver::schedule_next_stream_arrival() {
 }
 
 void SimulationDriver::on_arrival(RequestTypeId type) {
-  const RequestId rid(next_request_++);
-  const auto& rt = app_.request(type);
-  auto ar = std::make_unique<ActiveRequest>(rt, rid, engine_.now());
-  requests_.emplace(rid, std::move(ar));
-  arrival_order_.push_back(rid);
+  // Ids are issued in arrival order, so slot order is arrival order.
+  const RequestId rid(front_id_ + requests_.size());
+  requests_.push_back(std::make_unique<ActiveRequest>(app_.request(type), rid, engine_.now()));
   tracer_.on_request_arrival(rid, type, engine_.now());
   ++arrived_;
-  {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kArrival,
-                          policy_epoch_);
-    scheduler_.on_request_arrival(rid);
-  }
+  PolicyScope scope(*this, obs::PolicyCallback::kArrival);
+  scheduler_.on_request_arrival(rid);
 }
 
 ActiveRequest* SimulationDriver::find_request(RequestId id) {
-  auto it = requests_.find(id);
-  return it == requests_.end() ? nullptr : it->second.get();
+  // Ids behind the front wrap around to huge slots and fall out of range.
+  const std::uint64_t slot = id.value() - front_id_;
+  return slot < requests_.size() ? requests_[slot].get() : nullptr;
 }
 
 std::vector<RequestId> SimulationDriver::active_requests() const {
   std::vector<RequestId> out;
-  for (RequestId id : arrival_order_) {
-    if (requests_.count(id) > 0) out.push_back(id);
+  for (const auto& ar : requests_) {
+    if (ar != nullptr) out.push_back(ar->runtime.id());
   }
   return out;
 }
 
 std::vector<std::pair<RequestId, std::size_t>> SimulationDriver::running_on(
     MachineId machine) const {
-  auto it = running_on_.find(machine.value());
-  if (it == running_on_.end()) return {};
+  if (machine.value() >= running_on_.size()) return {};
+  const auto& refs = running_on_[machine.value()];
   std::vector<std::pair<RequestId, std::size_t>> out;
-  out.reserve(it->second.size());
-  for (const RunningRef& r : it->second) out.emplace_back(r.id, r.node);
+  out.reserve(refs.size());
+  for (const RunningRef& r : refs) out.emplace_back(r.id, r.node);
   return out;
 }
 
@@ -215,16 +212,13 @@ void SimulationDriver::audit_machine_conservation(MachineId machine) const {
   };
   std::vector<Window> windows;
   std::vector<SimTime> probes{now};
-  // Walk requests in id order so the float sum below accumulates in a
-  // deterministic order (audit runs must not depend on hash-table history).
-  std::vector<RequestId> ids;
-  ids.reserve(requests_.size());
-  for (const auto& entry : requests_) ids.push_back(entry.first);
-  std::sort(ids.begin(), ids.end());
-  for (const RequestId rid : ids) {
-    const ActiveRequest* ar = requests_.at(rid).get();
-    for (const DriverNode& dn : ar->nodes) {
-      if (!dn.has_reservation || !(dn.machine == machine)) continue;
+  // The window is in id order, so the float sum below accumulates in a
+  // deterministic order.
+  for (const auto& ar : requests_) {
+    if (ar == nullptr) continue;
+    for (std::size_t i = 0; i < ar->nodes.size(); ++i) {
+      const DriverNode& dn = ar->nodes[i];
+      if (!dn.has_reservation || !(ar->runtime.node(i).machine == machine)) continue;
       const SimTime lo = std::max(dn.reserved_begin, now);
       if (lo >= dn.reserved_end) continue;
       windows.push_back(Window{lo, dn.reserved_end, dn.limit});
@@ -249,29 +243,119 @@ void SimulationDriver::audit_machine_conservation(MachineId machine) const {
   }
 }
 
+ActiveRequest& SimulationDriver::checked_request(RequestId id, std::size_t node,
+                                                 const char* call) {
+  ActiveRequest* ar = find_request(id);
+  VMLP_CHECK_MSG(ar != nullptr, call << "() on unknown request " << id.value());
+  VMLP_CHECK_MSG(node < ar->nodes.size(),
+                 call << "() on node " << node << " of request " << id.value() << ": out of range");
+  return *ar;
+}
+
+void SimulationDriver::transition(ActiveRequest& ar, std::size_t node, NodeState to,
+                                  MachineId machine, SimTime planned_start) {
+  DriverNode& dn = ar.nodes[node];
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  const NodeState from = nr.state;
+  const MachineId held = nr.machine;  // the placement being left, if any
+  const ContainerId container = nr.container;
+  const SimTime t = engine_.now();
+  // The mark_* call rejects an illegal edge before any hook runs.
+  switch (to) {
+    case NodeState::kWaiting:
+    case NodeState::kReady:
+      if (from == NodeState::kWaiting) {
+        ar.runtime.mark_ready(node, t);
+      } else if (from == NodeState::kRunning) {
+        ar.runtime.mark_failed(node, t);
+      } else {
+        ar.runtime.revert_placement(node, t);
+      }
+      break;
+    case NodeState::kPlaced:
+      ar.runtime.mark_placed(node, machine, InstanceId(next_instance_++), planned_start);
+      break;
+    case NodeState::kRunning:
+      ar.runtime.mark_running(node, ContainerId(next_container_++), t);
+      break;
+    case NodeState::kDone:
+      ar.runtime.mark_done(node, t);
+      break;
+    case NodeState::kAbandoned:
+      ar.runtime.mark_abandoned(node);
+      break;
+  }
+  VMLP_CHECK(nr.state == to);  // waiting vs ready is the caller's to get right
+
+  if (from == NodeState::kRunning) {
+    // Leaving execution: the container, running-index entry and events go.
+    auto& refs = running_on_[held.value()];
+    refs.erase(std::remove_if(refs.begin(), refs.end(),
+                              [&](const RunningRef& r) { return r.ar == &ar && r.node == node; }),
+               refs.end());
+    cluster_.machine(held).remove_container(container);
+    for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event}) {
+      cancel_event(engine_, *ev);
+    }
+  }
+  switch (to) {
+    case NodeState::kPlaced:
+      cluster_.cells().add_placement(machine);
+      break;
+    case NodeState::kRunning: {
+      const auto& type = app_.service(ar.runtime.type().nodes()[node].service);
+      cluster_.machine(held).add_container(nr.container, nr.instance, type.demand, dn.limit);
+      running_on_[held.value()].push_back(RunningRef{ar.runtime.id(), node, &ar});
+      cancel_event(engine_, dn.late_event);
+      break;
+    }
+    case NodeState::kWaiting:
+    case NodeState::kReady:
+    case NodeState::kDone:
+      if (from != NodeState::kPlaced && from != NodeState::kRunning) break;
+      // Leaving the placement: its reservation tail and live-placement count.
+      release_reservation_tail(dn, held, t);
+      cluster_.cells().remove_placement(held);
+      if (to == NodeState::kDone) break;
+      // Back to unplaced: a re-placement (or a cold retry) starts clean.
+      cancel_event(engine_, dn.start_event);
+      cancel_event(engine_, dn.late_event);
+      dn.startable_at = -1;
+      dn.reserved_begin = -1;
+      dn.reserved_end = -1;
+      dn.reserve_duration = 0;
+      dn.remaining_work = 0.0;
+      dn.early_denial_streak = 0;
+      dn.stuck_notified = false;
+      break;
+    case NodeState::kAbandoned:
+      break;
+  }
+}
+
 void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
                              const cluster::ResourceVector& limit, SimTime planned_start,
                              SimDuration reserve_duration) {
-  ActiveRequest* ar = find_request(id);
-  VMLP_CHECK_MSG(ar != nullptr, "place() on unknown request " << id.value());
-  VMLP_CHECK_MSG(node < ar->nodes.size(), "node index out of range");
-  DriverNode& dn = ar->nodes[node];
-  VMLP_CHECK_MSG(!dn.placed && !dn.done, "node already placed");
+  ActiveRequest& ar = checked_request(id, node, "place");
+  DriverNode& dn = ar.nodes[node];
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  VMLP_CHECK_MSG(nr.unplaced(), "place() on node " << node << " of request " << id.value()
+                                                   << " in state "
+                                                   << app::node_state_name(nr.state));
   VMLP_CHECK_MSG(planned_start >= engine_.now(), "planned start in the past");
   VMLP_CHECK_MSG(reserve_duration > 0, "reserve_duration must be positive");
 
   cluster::Machine& m = cluster_.machine(machine);
   VMLP_CHECK_MSG(m.up(), "place() on down machine " << machine.value()
                                                     << " — schedulers must skip crash windows");
-  dn.placed = true;
-  dn.machine = machine;
-  dn.limit = limit.clamp_to(m.capacity());
-  VMLP_CHECK_MSG(!dn.limit.near_zero(), "placement with a zero resource limit");
-  dn.planned_start = planned_start;
-  dn.reserve_duration = reserve_duration;
+  const cluster::ResourceVector clamped = limit.clamp_to(m.capacity());
+  VMLP_CHECK_MSG(!clamped.near_zero(), "placement with a zero resource limit");
   VMLP_AUDIT_ASSERT(!dn.has_reservation,
                     "placing node " << node << " of request " << id.value()
                                     << " that already holds a reservation (double-booking)");
+  transition(ar, node, NodeState::kPlaced, machine, planned_start);
+  dn.limit = clamped;
+  dn.reserve_duration = reserve_duration;
   dn.reserved_begin = planned_start;
   dn.reserved_end = planned_start + reserve_duration;
   dn.has_reservation = true;
@@ -279,11 +363,6 @@ void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
   cluster_.cells().note_mutation(machine, m);
   audit_machine_conservation(machine);
   ++counters_.placements;
-  cluster_.cells().add_placement(machine);
-
-  const InstanceId iid(next_instance_++);
-  dn.instance = iid;
-  ar->runtime.mark_placed(node, machine, iid, planned_start);
 
   // Attribution ledger: a re-placement closes the open heal interval (time
   // since the placement was lost / the retry backoff elapsed).
@@ -294,94 +373,83 @@ void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
     dn.heal_from = -1;
   }
 
-  const bool is_root = ar->runtime.type().dag().parents(node).empty();
-  const bool deps_met = ar->runtime.node(node).pending_parents == 0;
+  if (nr.pending_parents == 0) resolve_startable(ar, node);
+  schedule_start_attempt(ar, node);
+}
 
-  if (is_root) {
+void SimulationDriver::resolve_startable(ActiveRequest& ar, std::size_t node) {
+  DriverNode& dn = ar.nodes[node];
+  if (ar.runtime.type().dag().parents(node).empty()) {
     // Ingress hop: request handler -> first microservice.
-    dn.startable_at = ar->runtime.arrival() + comm_.sample_delay(net::Distance::kSameRack);
+    dn.startable_at = ar.runtime.arrival() + comm_.sample_delay(net::Distance::kSameRack);
     dn.blocking_parent = trace::Span::kNoNode;
-  } else if (deps_met) {
-    SimTime startable = 0;
-    std::uint32_t blocking = trace::Span::kNoNode;
-    for (const auto& msg : dn.parent_msgs) {
-      const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, machine);
-      // Blocking edge: latest message arrival, ties to the lower parent
-      // index (the deterministic convention shared with trace/export).
-      if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
-        startable = arrived;
-        blocking = msg.parent;
-      }
-    }
-    dn.startable_at = startable;
-    dn.blocking_parent = blocking;
+    return;
   }
-
-  schedule_start_attempt(*ar, node);
+  const MachineId machine = ar.runtime.node(node).machine;
+  SimTime startable = 0;
+  std::uint32_t blocking = trace::Span::kNoNode;
+  for (const auto& msg : dn.parent_msgs) {
+    const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, machine);
+    // Blocking edge: latest message arrival, ties to the lower parent index
+    // (the deterministic convention shared with trace/export).
+    if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
+      startable = arrived;
+      blocking = msg.parent;
+    }
+  }
+  dn.startable_at = startable;
+  dn.blocking_parent = blocking;
 }
 
 void SimulationDriver::schedule_start_attempt(ActiveRequest& ar, std::size_t node) {
   DriverNode& dn = ar.nodes[node];
-  VMLP_CHECK(dn.placed && !dn.running && !dn.done);
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  VMLP_CHECK(nr.state == NodeState::kPlaced);
   const RequestId rid = ar.runtime.id();
+  const SimTime now = engine_.now();
+  // Lateness watch at the planned start: starting later than planned leaves
+  // a resource vacancy — self-healing territory. Every edge out of kPlaced
+  // cancels the watch. Note for scheduler authors: planned_start == now()
+  // arms the watch at the current timestamp, so on_late_invocation must
+  // never respond by re-placing with planned_start = now() again — that
+  // closes a zero-delay event cycle where simulated time never advances
+  // (see the backoff in VmlpScheduler::on_late_invocation).
+  const auto late_watch = [this, rid, node] {
+    ActiveRequest* r = find_request(rid);
+    if (r == nullptr || r->runtime.node(node).state != NodeState::kPlaced) return;
+    ++counters_.late_events;
+    PolicyScope scope(*this, obs::PolicyCallback::kLateInvocation);
+    scheduler_.on_late_invocation(rid, node);
+  };
 
   if (dn.startable_at >= 0) {
     // Work conservation: a node whose dependencies completed ahead of the
     // conservative plan may start early — start_node() admits the early
     // start only if the machine has the spare budget right then.
-    const SimTime start_at = std::max(engine_.now(), dn.startable_at);
+    const SimTime start_at = std::max(now, dn.startable_at);
     // Fast path: move the pending start event instead of cancel+recreate —
     // the stored callback is identical, only the key changes.
     if (!engine_.reschedule(dn.start_event, start_at)) {
       dn.start_event = engine_.schedule_at(start_at, [this, rid, node] { start_node(rid, node); });
     }
-    // Starting later than planned leaves a resource vacancy: self-healing
-    // territory. Note for scheduler authors: planned_start == now() arms the
-    // watch at the current timestamp, so on_late_invocation must never
-    // respond by re-placing with planned_start = now() again — that closes a
-    // zero-delay event cycle where simulated time never advances (see the
-    // backoff in VmlpScheduler::on_late_invocation).
-    if (start_at > dn.planned_start && dn.planned_start >= engine_.now() &&
-        !engine_.reschedule(dn.late_event, dn.planned_start)) {
-      dn.late_event = engine_.schedule_at(dn.planned_start, [this, rid, node] {
-        ActiveRequest* r = find_request(rid);
-        if (r == nullptr) return;
-        DriverNode& n = r->nodes[node];
-        if (!n.running && !n.done) {
-          ++counters_.late_events;
-          PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
-          scheduler_.on_late_invocation(rid, node);
-        }
-      });
+    if (start_at > nr.planned_start && nr.planned_start >= now &&
+        !engine_.reschedule(dn.late_event, nr.planned_start)) {
+      dn.late_event = engine_.schedule_at(nr.planned_start, late_watch);
     }
-  } else {
+  } else if (nr.planned_start >= now && !dn.late_event.valid()) {
     // Dependencies still executing; watch for lateness at the planned start.
-    if (dn.planned_start >= engine_.now() && !dn.late_event.valid()) {
-      dn.late_event = engine_.schedule_at(dn.planned_start, [this, rid, node] {
-        ActiveRequest* r = find_request(rid);
-        if (r == nullptr) return;
-        DriverNode& n = r->nodes[node];
-        if (!n.running && !n.done) {
-          ++counters_.late_events;
-          PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
-          scheduler_.on_late_invocation(rid, node);
-        }
-      });
-    }
+    dn.late_event = engine_.schedule_at(nr.planned_start, late_watch);
   }
 }
 
-void SimulationDriver::release_reservation_tail(ActiveRequest& ar, std::size_t node,
+void SimulationDriver::release_reservation_tail(DriverNode& dn, MachineId machine,
                                                 SimTime from) {
-  DriverNode& dn = ar.nodes[node];
   if (!dn.has_reservation) return;
   const SimTime lo = std::max(from, dn.reserved_begin);
   if (lo < dn.reserved_end) {
-    cluster::Machine& m = cluster_.machine(dn.machine);
+    cluster::Machine& m = cluster_.machine(machine);
     m.ledger().release(lo, dn.reserved_end, dn.limit);
-    cluster_.cells().note_mutation(dn.machine, m);
+    cluster_.cells().note_mutation(machine, m);
   }
   dn.has_reservation = false;
 }
@@ -390,33 +458,33 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
   ActiveRequest* ar = find_request(id);
   if (ar == nullptr) return;
   DriverNode& dn = ar->nodes[node];
-  if (dn.running || dn.done) return;
-  VMLP_CHECK_MSG(dn.placed, "starting unplaced node");
-  VMLP_CHECK_MSG(ar->runtime.node(node).pending_parents == 0,
-                 "starting node with unmet dependencies");
+  const app::NodeRuntime& nr = ar->runtime.node(node);
+  if (nr.state == NodeState::kRunning || nr.state == NodeState::kDone) return;
+  VMLP_CHECK_MSG(nr.state == NodeState::kPlaced, "starting unplaced node");
+  VMLP_CHECK_MSG(nr.pending_parents == 0, "starting node with unmet dependencies");
   const SimTime t = engine_.now();
+  const MachineId machine = nr.machine;
 
-  if (t < dn.planned_start) {
+  if (t < nr.planned_start) {
     // Early-start attempt: admit when the machine's *actual* occupancy (the
     // limits of containers running right now) leaves room. Future ledger
     // bookings must not block this — holding a machine idle until a planned
     // start while its resources sit free is exactly the waste the paper's
     // self-healing module exists to eliminate; momentary overlap with a
     // later booking is absorbed by the contention model.
-    cluster::Machine& m = cluster_.machine(dn.machine);
+    cluster::Machine& m = cluster_.machine(machine);
     if (!(m.allocated() + dn.limit).fits_within(m.capacity())) {
       ++counters_.early_denials;
       ++dn.early_denial_streak;
       // Poll for freed capacity instead of idling until the planned start.
-      const SimTime retry = std::min(dn.planned_start, t + kEarlyRetryInterval);
+      const SimTime retry = std::min(nr.planned_start, t + kEarlyRetryInterval);
       dn.start_event = engine_.schedule_at(retry, [this, id, node] { start_node(id, node); });
       // The planned machine keeps refusing while the node is ready to go:
       // treat it as a (pre-)late invocation so the scheduler may relocate it.
       if (dn.early_denial_streak >= DriverNode::kStuckThreshold && !dn.stuck_notified) {
         dn.stuck_notified = true;
         ++counters_.late_events;
-        PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
+        PolicyScope scope(*this, obs::PolicyCallback::kLateInvocation);
         scheduler_.on_late_invocation(id, node);
       }
       return;
@@ -429,34 +497,24 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
 
   // Re-book the reservation to the actual execution window if it drifted.
   if (t != dn.reserved_begin) {
-    release_reservation_tail(*ar, node, t);
+    release_reservation_tail(dn, machine, t);
     dn.reserved_begin = t;
     dn.reserved_end = t + dn.reserve_duration;
-    cluster::Machine& m = cluster_.machine(dn.machine);
+    cluster::Machine& m = cluster_.machine(machine);
     m.ledger().reserve(dn.reserved_begin, dn.reserved_end, dn.limit);
     dn.has_reservation = true;
-    cluster_.cells().note_mutation(dn.machine, m);
-    audit_machine_conservation(dn.machine);
+    cluster_.cells().note_mutation(machine, m);
+    audit_machine_conservation(machine);
   }
 
+  transition(*ar, node, NodeState::kRunning);
   const auto& req_node = ar->runtime.type().nodes()[node];
   const auto& type = app_.service(req_node.service);
-
-  const ContainerId cid(next_container_++);
-  cluster_.machine(dn.machine).add_container(cid, dn.instance, type.demand, dn.limit);
-  dn.container = cid;
-  ar->runtime.mark_running(node, cid, t);
-
   dn.remaining_work = static_cast<double>(exec_.sample_work(type, req_node.time_scale, rng_));
   dn.jitter = type.cls.resource_sensitivity == 3
                   ? rng_.lognormal_mean_cv(1.0, exec_.params().high_sensitivity_extra_cv)
                   : 1.0;
   dn.last_advance = t;
-  dn.running = true;
-  if (dn.late_event.valid()) {
-    engine_.cancel(dn.late_event);
-    dn.late_event = {};
-  }
 
   if (params_.failure.enabled) {
     if (params_.failure.container_fault_prob > 0.0 &&
@@ -474,17 +532,14 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
     }
   }
 
-  running_on_[dn.machine.value()].push_back(RunningRef{id, node, ar});
-  recompute_machine(dn.machine);
-  {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeStarted,
-                          policy_epoch_);
-    scheduler_.on_node_started(id, node);
-  }
+  recompute_machine(machine);
+  PolicyScope scope(*this, obs::PolicyCallback::kNodeStarted);
+  scheduler_.on_node_started(id, node);
 }
 
-void SimulationDriver::advance_instance(DriverNode& dn, SimTime to) {
-  VMLP_CHECK(dn.running);
+void SimulationDriver::advance_instance(ActiveRequest& ar, std::size_t node, SimTime to) {
+  VMLP_CHECK(ar.runtime.node(node).state == NodeState::kRunning);
+  DriverNode& dn = ar.nodes[node];
   if (to > dn.last_advance) {
     dn.remaining_work -= dn.rate * static_cast<double>(to - dn.last_advance);
     if (dn.remaining_work < 0.0) dn.remaining_work = 0.0;
@@ -507,8 +562,8 @@ double SimulationDriver::instance_rate(const app::MicroserviceType& type, const 
 }
 
 void SimulationDriver::recompute_machine(MachineId machine) {
-  auto it = running_on_.find(machine.value());
-  if (it == running_on_.end() || it->second.empty()) return;
+  const auto& refs = running_on_[machine.value()];
+  if (refs.empty()) return;
   cluster::Machine& m = cluster_.machine(machine);
   const SimTime t = engine_.now();
 
@@ -523,9 +578,9 @@ void SimulationDriver::recompute_machine(MachineId machine) {
       total.io > cap.io ? cap.io / total.io : 1.0,
   };
 
-  for (const RunningRef& ref : it->second) {
+  for (const RunningRef& ref : refs) {
     DriverNode& dn = ref.ar->nodes[ref.node];
-    advance_instance(dn, t);
+    advance_instance(*ref.ar, ref.node, t);
     const auto& req_node = ref.ar->runtime.type().nodes()[ref.node];
     const auto& type = app_.service(req_node.service);
     const cluster::ResourceVector effective{dn.limit.cpu * scale.cpu, dn.limit.mem * scale.mem,
@@ -549,42 +604,29 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   ActiveRequest* ar = find_request(id);
   if (ar == nullptr) return;
   DriverNode& dn = ar->nodes[node];
-  if (!dn.running || dn.done) return;
+  const app::NodeRuntime& nr = ar->runtime.node(node);
+  if (nr.state != NodeState::kRunning) return;
   const SimTime t = engine_.now();
-  advance_instance(dn, t);
+  advance_instance(*ar, node, t);
   // Rounding can leave sub-microsecond residue; treat as finished.
   VMLP_CHECK_MSG(dn.remaining_work <= 1.0 + 1e-6,
                  "finish event fired with " << dn.remaining_work << "us of work left");
 
-  dn.running = false;
-  dn.done = true;
-  cluster_.cells().remove_placement(dn.machine);
-  for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event}) {
-    if (ev->valid()) {
-      engine_.cancel(*ev);
-      *ev = {};
-    }
-  }
-
   // Tear down the container and the remaining reservation window.
-  auto& vec = running_on_[dn.machine.value()];
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
-            vec.end());
-  cluster::Machine& m = cluster_.machine(dn.machine);
-  m.remove_container(dn.container);
-  release_reservation_tail(*ar, node, t);
-  audit_machine_conservation(dn.machine);
-  recompute_machine(dn.machine);
+  transition(*ar, node, NodeState::kDone);
+  const MachineId machine = nr.machine;
+  cluster::Machine& m = cluster_.machine(machine);
+  audit_machine_conservation(machine);
+  recompute_machine(machine);
 
   const auto& req_node = ar->runtime.type().nodes()[node];
-  const SimTime started = ar->runtime.node(node).started_at;
+  const SimTime started = nr.started_at;
 
   // Tracing + profiling (Fig. 8's feedback loop). Span retention is optional
   // (DriverParams::trace_spans) — scale runs shed the per-execution memory.
   if (params_.trace_spans) {
-    trace::Span span{id, ar->runtime.type().id(), req_node.service, dn.instance,
-                     dn.machine, started, t};
+    trace::Span span{id, ar->runtime.type().id(), req_node.service, nr.instance, machine,
+                     started, t};
     span.node = static_cast<std::uint32_t>(node);
     // Attribution ledger: the final wait window is [startable_at, started];
     // failure intervals from earlier attempts are clipped into it so the
@@ -612,17 +654,16 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   profiles_.record(req_node.service, ar->runtime.type().id(), c);
 
   const auto children = ar->runtime.type().dag().children(node);
-  const auto unblocked = ar->runtime.mark_done(node, t);
   for (std::size_t child : children) {
-    ar->nodes[child].parent_msgs.push_back(
-        ParentMsg{static_cast<std::uint32_t>(node), dn.machine, t});
+    ar->nodes[child].parent_msgs.push_back(ParentMsg{static_cast<std::uint32_t>(node), machine, t});
   }
-  for (std::size_t child : unblocked) {
-    handle_parent_finished(*ar, child, dn.machine, t);
+  // This node was the last unfinished parent of exactly the children whose
+  // count the kDone edge just took to zero.
+  for (std::size_t child : children) {
+    if (ar->runtime.node(child).pending_parents == 0) handle_parent_finished(*ar, child);
   }
   {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeFinished,
-                          policy_epoch_);
+    PolicyScope scope(*this, obs::PolicyCallback::kNodeFinished);
     scheduler_.on_node_finished(id, node);
   }
 
@@ -636,11 +677,14 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->runtime.arrival()));
     ++completed_;
     {
-      PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kRequestFinished,
-                          policy_epoch_);
+      PolicyScope scope(*this, obs::PolicyCallback::kRequestFinished);
       scheduler_.on_request_finished(id);
     }
-    requests_.erase(id);
+    requests_[id.value() - front_id_].reset();
+    while (!requests_.empty() && requests_.front() == nullptr) {
+      requests_.pop_front();
+      ++front_id_;
+    }
     if (params_.trace_release_completed) tracer_.release_request(id);
   }
 }
@@ -685,38 +729,26 @@ void SimulationDriver::attribute_request(const ActiveRequest& ar, RequestId id) 
 #endif
 }
 
-void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t child,
-                                              MachineId /*parent_machine*/, SimTime /*t*/) {
-  DriverNode& dn = ar.nodes[child];
+void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t child) {
   VMLP_CHECK(ar.runtime.node(child).pending_parents == 0);
-  if (dn.placed) {
-    SimTime startable = 0;
-    std::uint32_t blocking = trace::Span::kNoNode;
-    for (const auto& msg : dn.parent_msgs) {
-      const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, dn.machine);
-      if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
-        startable = arrived;
-        blocking = msg.parent;
-      }
-    }
-    dn.startable_at = startable;
-    dn.blocking_parent = blocking;
+  if (ar.runtime.node(child).state == NodeState::kPlaced) {
+    resolve_startable(ar, child);
     schedule_start_attempt(ar, child);
   } else {
-    ar.runtime.mark_ready(child, engine_.now());
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeUnblocked,
-                          policy_epoch_);
+    transition(ar, child, NodeState::kReady);
+    PolicyScope scope(*this, obs::PolicyCallback::kNodeUnblocked);
     scheduler_.on_node_unblocked(ar.runtime.id(), child);
   }
 }
 
 void SimulationDriver::adjust_limit(RequestId id, std::size_t node,
                                     const cluster::ResourceVector& new_limit) {
-  ActiveRequest* ar = find_request(id);
-  VMLP_CHECK_MSG(ar != nullptr, "adjust_limit on unknown request");
-  DriverNode& dn = ar->nodes[node];
-  VMLP_CHECK_MSG(dn.running, "adjust_limit on a non-running node");
-  cluster::Machine& m = cluster_.machine(dn.machine);
+  ActiveRequest& ar = checked_request(id, node, "adjust_limit");
+  DriverNode& dn = ar.nodes[node];
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  VMLP_CHECK_MSG(nr.state == NodeState::kRunning, "adjust_limit on a non-running node");
+  const MachineId machine = nr.machine;
+  cluster::Machine& m = cluster_.machine(machine);
   const cluster::ResourceVector clamped = new_limit.clamp_to(m.capacity());
   VMLP_CHECK_MSG(!clamped.near_zero(), "adjust_limit to zero");
 
@@ -725,56 +757,37 @@ void SimulationDriver::adjust_limit(RequestId id, std::size_t node,
   if (dn.has_reservation && t < dn.reserved_end) {
     m.ledger().release(std::max(t, dn.reserved_begin), dn.reserved_end, dn.limit);
     m.ledger().reserve(std::max(t, dn.reserved_begin), dn.reserved_end, clamped);
-    cluster_.cells().note_mutation(dn.machine, m);
+    cluster_.cells().note_mutation(machine, m);
   }
   dn.limit = clamped;
-  cluster::Container* c = m.find_container(dn.container);
+  cluster::Container* c = m.find_container(nr.container);
   VMLP_CHECK(c != nullptr);
   c->set_limit(clamped);
   ++counters_.reallocations;
-  audit_machine_conservation(dn.machine);
-  recompute_machine(dn.machine);
+  audit_machine_conservation(machine);
+  recompute_machine(machine);
 }
 
 void SimulationDriver::unplace(RequestId id, std::size_t node) {
-  ActiveRequest* ar = find_request(id);
-  VMLP_CHECK_MSG(ar != nullptr, "unplace on unknown request");
-  DriverNode& dn = ar->nodes[node];
-  VMLP_CHECK_MSG(dn.placed && !dn.running && !dn.done,
-                 "unplace on a node that is not pending");
-  release_reservation_tail(*ar, node, engine_.now());
-  if (dn.start_event.valid()) {
-    engine_.cancel(dn.start_event);
-    dn.start_event = {};
-  }
-  if (dn.late_event.valid()) {
-    engine_.cancel(dn.late_event);
-    dn.late_event = {};
-  }
-  dn.placed = false;
-  cluster_.cells().remove_placement(dn.machine);
-  dn.planned_start = -1;
-  dn.startable_at = -1;
-  dn.reserved_begin = -1;
-  dn.reserved_end = -1;
-  dn.reserve_duration = 0;
-  dn.early_denial_streak = 0;
-  dn.stuck_notified = false;
+  ActiveRequest& ar = checked_request(id, node, "unplace");
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  VMLP_CHECK_MSG(nr.state == NodeState::kPlaced, "unplace on a node that is not pending");
+  const MachineId machine = nr.machine;
+  transition(ar, node, nr.pending_parents == 0 ? NodeState::kReady : NodeState::kWaiting);
   // Attribution ledger: relocation time runs from here to the re-placement
   // (clipped to the final wait window, so pre-startable relocations vanish).
+  DriverNode& dn = ar.nodes[node];
   if (params_.trace_spans && dn.heal_from < 0) dn.heal_from = engine_.now();
-  ar->runtime.revert_placement(node, engine_.now());
-  audit_machine_conservation(dn.machine);
+  audit_machine_conservation(machine);
 }
 
 void SimulationDriver::release_reservation(RequestId id, std::size_t node) {
-  ActiveRequest* ar = find_request(id);
-  VMLP_CHECK_MSG(ar != nullptr, "release_reservation on unknown request");
-  DriverNode& dn = ar->nodes[node];
-  VMLP_CHECK_MSG(dn.placed && !dn.running && !dn.done,
+  ActiveRequest& ar = checked_request(id, node, "release_reservation");
+  const app::NodeRuntime& nr = ar.runtime.node(node);
+  VMLP_CHECK_MSG(nr.state == NodeState::kPlaced,
                  "release_reservation on a node that is not pending");
-  release_reservation_tail(*ar, node, engine_.now());
-  audit_machine_conservation(dn.machine);
+  release_reservation_tail(ar.nodes[node], nr.machine, engine_.now());
+  audit_machine_conservation(nr.machine);
 }
 
 void SimulationDriver::schedule_next_interference() {
@@ -832,22 +845,22 @@ void SimulationDriver::crash_machine(MachineId machine) {
 
   // Orphan every running execution here. Copy the refs: the fail path edits
   // running_on_ and may trigger scheduler callbacks that place elsewhere.
-  std::vector<RunningRef> victims;
-  if (auto it = running_on_.find(machine.value()); it != running_on_.end()) victims = it->second;
+  const std::vector<RunningRef> victims = running_on_[machine.value()];
   for (const RunningRef& ref : victims) {
     ActiveRequest* ar = find_request(ref.id);
-    if (ar == nullptr || !ar->nodes[ref.node].running) continue;
+    if (ar == nullptr || ar->runtime.node(ref.node).state != NodeState::kRunning) continue;
     fail_running_node(*ar, ref.node);
   }
 
-  // Void placements waiting to start here. Scan in arrival order — requests_
-  // is unordered and its iteration order must not leak into event order.
-  for (RequestId id : arrival_order_) {
-    ActiveRequest* ar = find_request(id);
+  // Void placements waiting to start here, in arrival (= slot) order. The
+  // scheduler callbacks below may place, but never add or retire a request.
+  for (std::size_t slot = 0; slot < requests_.size(); ++slot) {
+    ActiveRequest* ar = requests_[slot].get();
     if (ar == nullptr) continue;
+    const RequestId id = ar->runtime.id();
     for (std::size_t node = 0; node < ar->nodes.size(); ++node) {
-      DriverNode& dn = ar->nodes[node];
-      if (!dn.placed || dn.running || dn.done || !(dn.machine == machine)) continue;
+      const app::NodeRuntime& nr = ar->runtime.node(node);
+      if (nr.state != NodeState::kPlaced || !(nr.machine == machine)) continue;
       unplace(id, node);
       ar->degraded = true;
       ++counters_.orphaned_pending;
@@ -857,9 +870,8 @@ void SimulationDriver::crash_machine(MachineId machine) {
       }
       // Nothing executed, so no retry is charged: deps-met nodes go straight
       // back to the scheduler; the rest re-enter via handle_parent_finished.
-      if (ar->runtime.node(node).pending_parents == 0) {
-        PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeOrphaned,
-                          policy_epoch_);
+      if (nr.pending_parents == 0) {
+        PolicyScope scope(*this, obs::PolicyCallback::kNodeOrphaned);
         scheduler_.on_node_orphaned(id, node);
       }
     }
@@ -871,14 +883,12 @@ void SimulationDriver::crash_machine(MachineId machine) {
   // reservations and a ledger that agrees (capacity conservation through a
   // crash).
   if (audit::enabled()) {
-    const auto rit = running_on_.find(machine.value());
-    VMLP_AUDIT_ASSERT(rit == running_on_.end() || rit->second.empty(),
+    VMLP_AUDIT_ASSERT(running_on_[machine.value()].empty(),
                       "crash purge left executions on machine " << machine.value());
-    for (RequestId id : arrival_order_) {
-      const ActiveRequest* ar = find_request(id);
+    for (const auto& ar : requests_) {
       if (ar == nullptr) continue;
-      for (const DriverNode& dn : ar->nodes) {
-        VMLP_AUDIT_ASSERT(!(dn.has_reservation && dn.machine == machine),
+      for (std::size_t i = 0; i < ar->nodes.size(); ++i) {
+        VMLP_AUDIT_ASSERT(!(ar->nodes[i].has_reservation && ar->runtime.node(i).machine == machine),
                           "crash purge left a live reservation on machine " << machine.value());
       }
     }
@@ -900,45 +910,16 @@ void SimulationDriver::recover_machine(MachineId machine) {
 
 void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
   DriverNode& dn = ar.nodes[node];
-  VMLP_CHECK_MSG(dn.running && !dn.done, "failing a node that is not executing");
+  const app::NodeRuntime& nr = ar.runtime.node(node);
   const RequestId id = ar.runtime.id();
   const SimTime t = engine_.now();
-  const MachineId machine = dn.machine;
-
-  for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event,
-                               &dn.start_event, &dn.late_event}) {
-    if (ev->valid()) {
-      engine_.cancel(*ev);
-      *ev = {};
-    }
-  }
-  auto& vec = running_on_[machine.value()];
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
-            vec.end());
-  cluster::Machine& m = cluster_.machine(machine);
-  m.remove_container(dn.container);
-  release_reservation_tail(ar, node, t);
+  const MachineId machine = nr.machine;
 
   // Attribution ledger: the voided attempt's execution is lost time.
-  if (params_.trace_spans) {
-    const SimTime attempt_started = ar.runtime.node(node).started_at;
-    if (attempt_started >= 0 && t > attempt_started) {
-      dn.phase_segs.push_back(PhaseSeg{trace::Phase::kLostExec, attempt_started, t});
-    }
+  if (params_.trace_spans && nr.started_at >= 0 && t > nr.started_at) {
+    dn.phase_segs.push_back(PhaseSeg{trace::Phase::kLostExec, nr.started_at, t});
   }
-
-  dn.running = false;
-  dn.placed = false;
-  cluster_.cells().remove_placement(machine);
-  dn.planned_start = -1;
-  dn.startable_at = -1;
-  dn.reserved_begin = -1;
-  dn.reserved_end = -1;
-  dn.reserve_duration = 0;
-  dn.remaining_work = 0.0;  // completed work is lost; retries restart cold
-  dn.early_denial_streak = 0;
-  dn.stuck_notified = false;
+  transition(ar, node, NodeState::kReady);
   ++dn.attempts;
   ar.degraded = true;
   ++counters_.orphaned_running;
@@ -946,9 +927,8 @@ void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
     obs_->event(obs::DecisionKind::kOrphan, t, id.value(), static_cast<std::uint32_t>(node),
                 machine.value());
   }
-  ar.runtime.mark_failed(node, t);
   audit_machine_conservation(machine);
-  if (m.up()) recompute_machine(machine);  // survivors re-rate on the freed capacity
+  if (cluster_.machine(machine).up()) recompute_machine(machine);  // survivors re-rate
 
   schedule_retry(ar, node);
 }
@@ -956,7 +936,7 @@ void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
 void SimulationDriver::schedule_retry(ActiveRequest& ar, std::size_t node) {
   DriverNode& dn = ar.nodes[node];
   if (dn.attempts > params_.failure.max_retries) {
-    dn.abandoned = true;
+    transition(ar, node, NodeState::kAbandoned);
     ++counters_.retries_dropped;
     return;  // the request stays unfinished; horizon accounting charges it
   }
@@ -980,33 +960,27 @@ void SimulationDriver::schedule_retry(ActiveRequest& ar, std::size_t node) {
   }
   const RequestId id = ar.runtime.id();
   engine_.schedule_after(backoff, [this, id, node] {
+    // Ready is the only state a retry acts on: the node may have been placed
+    // again meanwhile, and ready implies its dependencies are met.
     ActiveRequest* r = find_request(id);
-    if (r == nullptr) return;
-    const DriverNode& n = r->nodes[node];
-    if (n.placed || n.running || n.done || n.abandoned) return;
-    if (r->runtime.node(node).pending_parents != 0) return;  // re-enters via parents
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeOrphaned,
-                          policy_epoch_);
+    if (r == nullptr || r->runtime.node(node).state != NodeState::kReady) return;
+    PolicyScope scope(*this, obs::PolicyCallback::kNodeOrphaned);
     scheduler_.on_node_orphaned(id, node);
   });
 }
 
 void SimulationDriver::container_fault(RequestId id, std::size_t node) {
   ActiveRequest* ar = find_request(id);
-  if (ar == nullptr) return;
-  DriverNode& dn = ar->nodes[node];
-  if (!dn.running || dn.done) return;
-  dn.fault_event = {};  // this event just fired; don't cancel a stale handle
+  if (ar == nullptr || ar->runtime.node(node).state != NodeState::kRunning) return;
+  ar->nodes[node].fault_event = {};  // this event just fired; don't cancel a stale handle
   ++counters_.container_faults;
   fail_running_node(*ar, node);
 }
 
 void SimulationDriver::invocation_timeout(RequestId id, std::size_t node) {
   ActiveRequest* ar = find_request(id);
-  if (ar == nullptr) return;
-  DriverNode& dn = ar->nodes[node];
-  if (!dn.running || dn.done) return;
-  dn.timeout_event = {};
+  if (ar == nullptr || ar->runtime.node(node).state != NodeState::kRunning) return;
+  ar->nodes[node].timeout_event = {};
   ++counters_.invocation_timeouts;
   fail_running_node(*ar, node);
 }
@@ -1026,8 +1000,7 @@ RunResult SimulationDriver::run() {
   schedule_next_interference();
   schedule_failures();
   engine_.schedule_periodic(params_.tick, params_.tick, [this] {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kTick,
-                          policy_epoch_);
+    PolicyScope scope(*this, obs::PolicyCallback::kTick);
     scheduler_.on_tick();
   });
   if (params_.ledger_compact_period > 0) {
@@ -1043,13 +1016,16 @@ RunResult SimulationDriver::run() {
   RunResult result;
   result.arrived = arrived_;
   result.completed = completed_;
-  for (RequestId id : active_requests()) {
-    const ActiveRequest& ar = *requests_.at(id);
-    qos_.record_unfinished(ar.runtime.type().id());
+  for (const auto& ar : requests_) {
+    if (ar == nullptr) continue;
+    qos_.record_unfinished(ar->runtime.type().id());
     ++result.unfinished;
-    bool abandoned = false;
-    for (const DriverNode& dn : ar.nodes) abandoned = abandoned || dn.abandoned;
-    if (abandoned) ++result.abandoned_requests;
+    for (std::size_t i = 0; i < ar->nodes.size(); ++i) {
+      if (ar->runtime.node(i).state == NodeState::kAbandoned) {
+        ++result.abandoned_requests;
+        break;
+      }
+    }
   }
   result.qos_violation_rate = qos_.violation_rate();
   result.mean_utilization = monitor_.mean_overall();
@@ -1104,8 +1080,8 @@ void SimulationDriver::sync_observability(const RunResult& result) {
   c.set_counter(f.nodes_orphaned, counters_.orphaned_running + counters_.orphaned_pending);
   c.set_counter(f.retries_scheduled, counters_.retries_scheduled);
   c.set_counter(f.retries_dropped, counters_.retries_dropped);
-  // Topology gauges come from the cell counters the driver maintains at the
-  // placed-node transitions; per-cell labels are bounded (kMaxCellGauges).
+  // Topology gauges come from the cell counters transition() maintains;
+  // per-cell labels are bounded (kMaxCellGauges).
   const auto& topo = c.topology();
   const cluster::CellTopology& cells = cluster_.cells();
   c.set_gauge(topo.cells_configured, static_cast<double>(cells.cell_count()));

@@ -19,12 +19,14 @@
 //  * Late invocations: a placed node that has not started by its planned
 //    start triggers IScheduler::on_late_invocation — the hook the paper's
 //    self-healing module hangs off.
+//  * One lifecycle: node state lives only in app::RequestRuntime, and every
+//    edge goes through transition(), which runs its hooks once (DESIGN.md §5).
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "app/application.h"
@@ -123,15 +125,15 @@ struct PhaseSeg {
   SimTime end;
 };
 
-/// Per-node driver state (mechanism-side; policy state stays in schedulers).
+/// Per-node driver mechanism (policy state stays in schedulers). Lifecycle
+/// state and placement identity (machine, instance, container, planned
+/// start) live in ActiveRequest::runtime.node(i).
 struct DriverNode {
-  bool placed = false;
-  MachineId machine;
   cluster::ResourceVector limit;
-  SimTime planned_start = -1;
   SimDuration reserve_duration = 0;
   SimTime reserved_begin = -1;
   SimTime reserved_end = -1;
+  /// Not implied by the state: a placed node may drop it (delay slot).
   bool has_reservation = false;
 
   /// Completion messages from finished parents. Arena-backed: one
@@ -153,8 +155,6 @@ struct DriverNode {
   sim::EventHandle late_event;
 
   // Running state.
-  InstanceId instance;
-  ContainerId container;
   double remaining_work = 0.0;  ///< microseconds of work at rate 1
   double rate = 1.0;
   double jitter = 1.0;  ///< S=3 contention-dispersion multiplier, fixed per instance
@@ -162,13 +162,9 @@ struct DriverNode {
   sim::EventHandle finish_event;
   sim::EventHandle fault_event;    ///< pending mid-flight container fault
   sim::EventHandle timeout_event;  ///< invocation-timeout watchdog
-  bool running = false;
-  bool done = false;
-  /// Executions lost to crashes/faults/timeouts so far (bounded retry).
+  /// Executions lost to crashes/faults/timeouts so far (past the retry
+  /// budget the node is abandoned).
   int attempts = 0;
-  /// Retry budget exhausted: the node is never re-placed and the request
-  /// stays unfinished (accounted as a QoS violation at the horizon).
-  bool abandoned = false;
   /// Consecutive denied early-start probes; at kStuckThreshold the scheduler
   /// is told the node is effectively late so it can relocate it.
   int early_denial_streak = 0;
@@ -255,16 +251,20 @@ class SimulationDriver {
   [[nodiscard]] obs::Collector* observer() { return obs_.get(); }
   [[nodiscard]] const obs::Collector* observer() const { return obs_.get(); }
 
+  /// nullptr once the request completed, or for an id never issued.
   [[nodiscard]] ActiveRequest* find_request(RequestId id);
   /// Unfinished requests in arrival order.
   [[nodiscard]] std::vector<RequestId> active_requests() const;
   /// Running (request, node) pairs currently executing on a machine.
   [[nodiscard]] std::vector<std::pair<RequestId, std::size_t>> running_on(MachineId machine) const;
 
+  // The four mutators below throw InvariantError, naming the call, on an
+  // unknown request, an out-of-range node or a node in the wrong state.
   /// Place node `node` of request `id` on `machine` with resource `limit`,
   /// planned to start at `planned_start` (>= now) and reserving
   /// `reserve_duration` of ledger time. The node starts at
-  /// max(planned_start, dependency messages' arrival).
+  /// max(planned_start, dependency messages' arrival). The node must be
+  /// waiting or ready.
   void place(RequestId id, std::size_t node, MachineId machine,
              const cluster::ResourceVector& limit, SimTime planned_start,
              SimDuration reserve_duration);
@@ -335,21 +335,30 @@ class SimulationDriver {
   /// scheduler via bounded retry / on_node_orphaned.
   void crash_machine(MachineId machine);
   void recover_machine(MachineId machine);
+  /// Every lifecycle edge: the matching RequestRuntime::mark_* (which rejects
+  /// illegal edges), then the edge's hooks, run before any scheduler callback
+  /// of the handler. `machine`/`planned_start` are read only for kPlaced.
+  void transition(ActiveRequest& ar, std::size_t node, app::NodeState to,
+                  MachineId machine = MachineId(), SimTime planned_start = -1);
+  /// The request a mutator addresses; throws naming `call` on a bad id/node.
+  ActiveRequest& checked_request(RequestId id, std::size_t node, const char* call);
   /// Kill one running execution (crash/fault/timeout): container destroyed,
   /// reservation released, runtime state back to ready, retry scheduled.
   void fail_running_node(ActiveRequest& ar, std::size_t node);
   void schedule_retry(ActiveRequest& ar, std::size_t node);
   void container_fault(RequestId id, std::size_t node);
   void invocation_timeout(RequestId id, std::size_t node);
+  /// A placed, unblocked node's startable_at and blocking_parent.
+  void resolve_startable(ActiveRequest& ar, std::size_t node);
   void schedule_start_attempt(ActiveRequest& ar, std::size_t node);
   void start_node(RequestId id, std::size_t node);
   void finish_node(RequestId id, std::size_t node);
-  void handle_parent_finished(ActiveRequest& ar, std::size_t child, MachineId parent_machine,
-                              SimTime finish_time);
+  void handle_parent_finished(ActiveRequest& ar, std::size_t child);
   /// Re-rate all running instances on a machine and reschedule their finishes.
   void recompute_machine(MachineId machine);
-  void advance_instance(DriverNode& dn, SimTime to);
-  void release_reservation_tail(ActiveRequest& ar, std::size_t node, SimTime from);
+  void advance_instance(ActiveRequest& ar, std::size_t node, SimTime to);
+  /// Release the node's ledger window on `machine` from `from` on.
+  void release_reservation_tail(DriverNode& dn, MachineId machine, SimTime from);
   /// Audit tier: the machine's ledger at every future probe time must equal
   /// the sum of the live node reservations the driver tracks for it —
   /// capacity conservation across place/heal/release (no double-booked and
@@ -381,10 +390,13 @@ class SimulationDriver {
   monitor::ClusterMonitor monitor_;
   stats::QosTracker qos_;
 
+  /// Host-time scope around one scheduler callback (defined in the .cpp).
+  class PolicyScope;
+
   /// One running instance on a machine. Caches the ActiveRequest pointer so
   /// the per-firing re-rate loop in recompute_machine() skips the request
-  /// hash lookup; the pointer is stable (requests_ holds unique_ptrs) and the
-  /// entry is removed in finish_node() before the request itself is erased.
+  /// lookup; the pointer is stable (the window holds unique_ptrs) and the
+  /// entry goes when the node leaves kRunning, before the request does.
   struct RunningRef {
     RequestId id;
     std::size_t node;
@@ -396,15 +408,16 @@ class SimulationDriver {
   Rng rng_failure_;       // per-invocation fault draws (schedule has its own)
   std::vector<FailureWindow> failure_schedule_;
   stats::SampleSet orphaned_latencies_;
-  std::unordered_map<RequestId, std::unique_ptr<ActiveRequest>> requests_;
-  /// machine id -> running instances placed there.
-  std::unordered_map<std::uint32_t, std::vector<RunningRef>> running_on_;
+  /// Live requests, slot id − front_id_. Completed slots are nulled and the
+  /// front trimmed past them; the next id is front_id_ + requests_.size().
+  std::deque<std::unique_ptr<ActiveRequest>> requests_;
+  std::uint64_t front_id_ = 0;
+  /// Running instances by machine id.
+  std::vector<std::vector<RunningRef>> running_on_;
   /// V_r per request type id, precomputed once: the lookup is hot in the
   /// self-organizing module's per-placement scoring and was previously
   /// recomputed from the service classes on every call.
   std::vector<double> volatility_cache_;
-  std::vector<RequestId> arrival_order_;
-  std::uint64_t next_request_ = 0;
   std::uint64_t next_instance_ = 0;
   std::uint64_t next_container_ = 0;
   std::size_t arrived_ = 0;

@@ -26,7 +26,7 @@ void FairSched::drain() {
     const auto [id, node] = ready_.front();
     ready_.pop_front();
     ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
+    if (ar == nullptr || !ar->runtime.node(node).unplaced()) continue;
 
     const MachineId machine = machine_fewest_containers(driver_->cluster());
     if (!machine.valid()) {

@@ -69,7 +69,7 @@ void FullProfile::drain() {
   for (const auto& [key, id, node] : keyed) {
     (void)key;
     ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
+    if (ar == nullptr || !ar->runtime.node(node).unplaced()) continue;
     const OverallProfile& p = profile_of(ar->runtime.type().id());
 
     // The whole point — and the flaw — of overall profiling: admission sees

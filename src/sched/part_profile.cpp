@@ -72,7 +72,7 @@ void PartProfile::drain() {
   for (const auto& [slack, id, node] : keyed) {
     (void)slack;
     ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
+    if (ar == nullptr || !ar->runtime.node(node).unplaced()) continue;
     const auto& req_node = ar->runtime.type().nodes()[node];
     const auto& svc = driver_->application().service(req_node.service);
     const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);

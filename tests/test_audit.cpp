@@ -206,7 +206,7 @@ TEST_F(PlanIntegrityTest, RejectsDoubleBookedNode) {
 }
 
 TEST_F(PlanIntegrityTest, RejectsPlanForPlacedNode) {
-  ar_.nodes[0].placed = true;
+  ar_.runtime.node(0).state = app::NodeState::kPlaced;
   EXPECT_THROW(mlp::audit_plan_integrity(ar_, {plan_for(0)}, false), InvariantError);
 }
 
@@ -229,7 +229,7 @@ TEST_F(PlanIntegrityTest, PartialCoverAllowedForSingleNodePlanning) {
 }
 
 TEST_F(PlanIntegrityTest, PlacedNodesNeedNoCover) {
-  ar_.nodes[1].placed = true;
+  ar_.runtime.node(1).state = app::NodeState::kPlaced;
   EXPECT_NO_THROW(mlp::audit_plan_integrity(ar_, {plan_for(0)}, true));
 }
 

@@ -2,7 +2,11 @@
 // contention, reservations, limits, accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "sched/driver.h"
@@ -260,12 +264,179 @@ TEST(Driver, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.mean_utilization, b.mean_utilization);
 }
 
+/// Places nothing: every request stays live and unplaced to the horizon.
+class IdleScheduler : public IScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "idle"; }
+  void on_request_arrival(RequestId) override {}
+  void on_node_unblocked(RequestId, std::size_t) override {}
+  void on_tick() override {}
+};
+
+/// `call` throws InvariantError whose message names `name`.
+void expect_rejected(const std::function<void()>& call, const std::string& name) {
+  try {
+    call();
+    ADD_FAILURE() << name << " accepted a bad node";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(name + "()"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Driver, PlacementValidation) {
   auto application = make_chain_app();
-  ScriptedScheduler sched;
+  IdleScheduler sched;
   SimulationDriver driver(*application, sched, small_params());
   EXPECT_THROW(driver.place(RequestId(99), 0, MachineId(0), {1, 1, 1}, 0, kMsec),
                InvariantError);
+
+  // A live two-node request: node index 2 is out of range for every
+  // scheduler-facing mutator.
+  driver.load_arrivals({{10 * kMsec, RequestTypeId(0)}});
+  driver.run();
+  const RequestId id(0);
+  ASSERT_NE(driver.find_request(id), nullptr);
+  expect_rejected([&] { driver.place(id, 2, MachineId(0), {1, 1, 1}, driver.now(), kMsec); },
+                  "place");
+  expect_rejected([&] { driver.adjust_limit(id, 2, {1, 1, 1}); }, "adjust_limit");
+  expect_rejected([&] { driver.unplace(id, 2); }, "unplace");
+  expect_rejected([&] { driver.release_reservation(id, 2); }, "release_reservation");
+}
+
+TEST(Driver, AbandonedNodeIsNeverPlacedAgain) {
+  auto application = make_chain_app();
+  ScriptedScheduler sched;
+  sched.reserve = 2 * kMsec;  // the fault lands inside the reservation: before the finish
+  DriverParams p = small_params();
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 0.0;
+  p.failure.container_fault_prob = 1.0;  // the root's first execution dies
+  p.failure.max_retries = 0;             // ... and spends the whole budget
+  SimulationDriver driver(*application, sched, p);
+  driver.load_arrivals({{10 * kMsec, RequestTypeId(0)}});
+  const RunResult result = driver.run();
+  EXPECT_EQ(result.abandoned_requests, 1u);
+
+  ActiveRequest* ar = driver.find_request(RequestId(0));
+  ASSERT_NE(ar, nullptr);
+  EXPECT_EQ(ar->runtime.node(0).state, app::NodeState::kAbandoned);
+  const auto& svc = driver.application().service(ar->runtime.type().nodes()[0].service);
+  EXPECT_THROW(driver.place(RequestId(0), 0, MachineId(1), svc.demand, driver.now(), kMsec),
+               InvariantError);
+}
+
+/// Drives four requests so that the front one completes last. Request 1 runs
+/// straight away on the safe machine. Requests 0, 2 and 3 book their roots on
+/// the crash machine for after its first crash, so the crash voids all three
+/// pending placements. The orphans of 2 and 3 go to the safe machine at once;
+/// request 0's waits until every other request has completed.
+class WindowScheduler : public IScheduler {
+ public:
+  WindowScheduler(MachineId crash, MachineId safe, SimTime crash_at)
+      : crash_(crash), safe_(safe), crash_at_(crash_at) {}
+
+  [[nodiscard]] std::string name() const override { return "window"; }
+  void on_request_arrival(RequestId id) override {
+    if (id == RequestId(1)) {
+      place_root(id, safe_, driver_->now());
+    } else {
+      place_root(id, crash_, crash_at_ + 10 * kMsec);
+    }
+  }
+  void on_node_unblocked(RequestId id, std::size_t node) override { place(id, node, safe_); }
+  void on_node_orphaned(RequestId id, std::size_t node) override {
+    if (orphans.empty()) {
+      active_at_crash = driver_->active_requests();
+      completed_visible_at_crash = driver_->find_request(RequestId(1)) != nullptr;
+      unissued_visible_at_crash = driver_->find_request(RequestId(4)) != nullptr;
+    }
+    orphans.push_back(id);
+    if (id == RequestId(0)) return;  // held back until the others completed
+    place(id, node, safe_);
+  }
+  void on_tick() override {
+    if (finished.size() == 3 && !front_placed) {
+      front_placed = true;
+      place(RequestId(0), 0, safe_);
+    }
+  }
+  void on_request_finished(RequestId id) override { finished.push_back(id); }
+
+  std::vector<RequestId> orphans;
+  std::vector<RequestId> finished;
+  std::vector<RequestId> active_at_crash;
+  bool completed_visible_at_crash = true;
+  bool unissued_visible_at_crash = true;
+  bool front_placed = false;
+
+ private:
+  void place(RequestId id, std::size_t node, MachineId machine) {
+    const ActiveRequest* ar = driver_->find_request(id);
+    const auto& svc = driver_->application().service(ar->runtime.type().nodes()[node].service);
+    driver_->place(id, node, machine, svc.demand, driver_->now(), 50 * kMsec);
+  }
+  void place_root(RequestId id, MachineId machine, SimTime planned_start) {
+    const ActiveRequest* ar = driver_->find_request(id);
+    const auto& svc = driver_->application().service(ar->runtime.type().nodes()[0].service);
+    driver_->place(id, 0, machine, svc.demand, planned_start, 50 * kMsec);
+  }
+
+  MachineId crash_;
+  MachineId safe_;
+  SimTime crash_at_;
+};
+
+TEST(Driver, RequestWindowSurvivesOutOfOrderCompletion) {
+  auto application = make_chain_app();
+  DriverParams p = small_params();
+  p.horizon = 2 * kSec;
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 0.5;
+  // The crash schedule is a pure function of the seed: find its first crash
+  // and a machine that never goes down.
+  const std::vector<FailureWindow> windows =
+      build_failure_schedule(p.failure, p.seed, p.horizon, p.cluster.machine_count);
+  ASSERT_FALSE(windows.empty());
+  const FailureWindow first = windows.front();
+  ASSERT_GT(first.down_at, 200 * kMsec) << "request 1 must complete before the crash";
+  MachineId safe;
+  for (std::uint32_t m = 0; m < p.cluster.machine_count && !safe.valid(); ++m) {
+    if (std::none_of(windows.begin(), windows.end(),
+                     [&](const FailureWindow& w) { return w.machine == MachineId(m); })) {
+      safe = MachineId(m);
+    }
+  }
+  ASSERT_TRUE(safe.valid());
+
+  WindowScheduler sched(first.machine, safe, first.down_at);
+  SimulationDriver driver(*application, sched, p);
+  // Fill the crash machine so early starts are refused: the roots booked
+  // there stay pending until the crash voids them.
+  cluster::Machine& crash_machine = driver.cluster().machine(first.machine);
+  crash_machine.add_container(ContainerId(1ULL << 40), InstanceId(), crash_machine.capacity(),
+                              crash_machine.capacity());
+  driver.load_arrivals({{1 * kMsec, RequestTypeId(0)},
+                        {2 * kMsec, RequestTypeId(0)},
+                        {3 * kMsec, RequestTypeId(0)},
+                        {4 * kMsec, RequestTypeId(0)}});
+  const RunResult result = driver.run();
+
+  EXPECT_EQ(result.completed, 4u);
+  ASSERT_EQ(sched.finished.size(), 4u);
+  EXPECT_EQ(sched.finished.front(), RequestId(1));
+  EXPECT_EQ(sched.finished.back(), RequestId(0));
+  // The crash voided the pending placements in arrival order, while the
+  // completed request 1 left a null slot behind the live front request 0.
+  EXPECT_EQ(sched.orphans, (std::vector<RequestId>{RequestId(0), RequestId(2), RequestId(3)}));
+  EXPECT_EQ(sched.active_at_crash,
+            (std::vector<RequestId>{RequestId(0), RequestId(2), RequestId(3)}));
+  EXPECT_FALSE(sched.completed_visible_at_crash);
+  EXPECT_FALSE(sched.unissued_visible_at_crash);
+  // Everything completed: the front was trimmed past every id.
+  for (std::uint64_t id = 0; id < 4; ++id) EXPECT_EQ(driver.find_request(RequestId(id)), nullptr);
+  EXPECT_EQ(driver.find_request(RequestId(4)), nullptr);
+  EXPECT_EQ(driver.find_request(RequestId::invalid()), nullptr);
+  EXPECT_TRUE(driver.active_requests().empty());
 }
 
 TEST(Driver, ArrivalOutsideHorizonThrows) {

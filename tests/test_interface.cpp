@@ -65,7 +65,7 @@ TEST(InterfaceLayer, ControllersActuate) {
     const auto& rt = driver.find_request(id)->runtime.type();
     const auto& svc = driver.application().service(rt.nodes()[0].service);
     iface.place(id, 0, MachineId(1), svc.demand, driver.now(), 20 * kMsec);
-    EXPECT_TRUE(driver.find_request(id)->nodes[0].placed);
+    EXPECT_FALSE(driver.find_request(id)->runtime.node(0).unplaced());
     iface.release_reservation(id, 0);
     EXPECT_FALSE(driver.find_request(id)->nodes[0].has_reservation);
     checked = true;

@@ -78,7 +78,7 @@ TEST(SelfOrganizing, CommitsWholeChainAtomically) {
   probe.hook = [&](RequestId id) {
     EXPECT_TRUE(probe.organizer->organize(id));
     sched::ActiveRequest* ar = driver.find_request(id);
-    for (std::size_t n = 0; n < 4; ++n) EXPECT_TRUE(ar->nodes[n].placed) << n;
+    for (std::size_t n = 0; n < 4; ++n) EXPECT_FALSE(ar->runtime.node(n).unplaced()) << n;
     EXPECT_EQ(probe.organizer->plans_committed(), 1u);
   };
   driver.load_arrivals({{kMsec, RequestTypeId(0)}});
@@ -96,10 +96,11 @@ TEST(SelfOrganizing, OverlayAvoidsSelfCollision) {
   probe.hook = [&](RequestId id) {
     ASSERT_TRUE(probe.organizer->organize(id));
     sched::ActiveRequest* ar = driver.find_request(id);
-    const auto& a = ar->nodes[1];
-    const auto& b = ar->nodes[2];
+    const auto& a = ar->runtime.node(1);
+    const auto& b = ar->runtime.node(2);
     const bool same_machine = a.machine == b.machine;
-    const bool overlapping = a.planned_start < b.reserved_end && b.planned_start < a.reserved_end;
+    const bool overlapping = a.planned_start < ar->nodes[2].reserved_end &&
+                             b.planned_start < ar->nodes[1].reserved_end;
     EXPECT_FALSE(same_machine && overlapping)
         << "both heavy branches booked concurrently on machine " << a.machine.value();
   };
@@ -115,9 +116,10 @@ TEST(SelfOrganizing, PlannedStartsRespectDependencies) {
     ASSERT_TRUE(probe.organizer->organize(id));
     sched::ActiveRequest* ar = driver.find_request(id);
     // Children planned after parents' planned start (+ their slack windows).
-    EXPECT_GT(ar->nodes[1].planned_start, ar->nodes[0].planned_start);
-    EXPECT_GT(ar->nodes[3].planned_start, ar->nodes[1].planned_start);
-    EXPECT_GT(ar->nodes[3].planned_start, ar->nodes[2].planned_start);
+    const auto planned = [&](std::size_t n) { return ar->runtime.node(n).planned_start; };
+    EXPECT_GT(planned(1), planned(0));
+    EXPECT_GT(planned(3), planned(1));
+    EXPECT_GT(planned(3), planned(2));
   };
   driver.load_arrivals({{kMsec, RequestTypeId(0)}});
   driver.run();
@@ -139,7 +141,7 @@ TEST(SelfOrganizing, DefersWhenClusterSaturated) {
     EXPECT_EQ(probe.organizer->plans_deferred(), 1u);
     EXPECT_GE(probe.organizer->last_defer_at(), 0);
     sched::ActiveRequest* ar = driver.find_request(id);
-    for (std::size_t n = 0; n < 4; ++n) EXPECT_FALSE(ar->nodes[n].placed) << n;
+    for (std::size_t n = 0; n < 4; ++n) EXPECT_TRUE(ar->runtime.node(n).unplaced()) << n;
     // Clean up so the run can end: release the artificial load.
     driver.cluster().machine(MachineId(0)).ledger().release(driver.now(),
                                                             driver.now() + 2 * kSec,
