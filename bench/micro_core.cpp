@@ -3,6 +3,7 @@
 // quantiles, and chain-choice sampling.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "app/dag.h"
@@ -131,6 +132,50 @@ void BM_LedgerChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LedgerChurn);
+
+void BM_LedgerChurnWithHistory(benchmark::State& state) {
+  // The simulator's shape: ~1,500 settled segments behind a moving "now" and
+  // a short future window where every edit lands. Each cycle advances now,
+  // frees the unstarted tail of the oldest live window, reserves a new one
+  // and asks the admission questions; compaction every 100 cycles keeps
+  // 1,000 cycles of history, like the driver's periodic compaction.
+  // BM_LedgerChurn's profile has no history, so upkeep that scales with the
+  // history never shows there.
+  constexpr SimTime kStep = 10;
+  constexpr int kCompactEvery = 100;
+  constexpr SimTime kKeep = 1000 * kStep;
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
+  Rng rng(12);
+  struct Win {
+    SimTime t0, t1;
+    cluster::ResourceVector r;
+  };
+  std::vector<Win> live(16, Win{0, 1, {}});
+  std::size_t oldest = 0;
+  SimTime now = 0;
+  int cycle = 0;
+  auto step = [&] {
+    now += kStep;
+    Win& w = live[oldest];
+    if (w.t1 > now) ledger.release(std::max(w.t0, now), w.t1, w.r);
+    w.t0 = now + rng.uniform_int(0, 200);
+    w.t1 = w.t0 + rng.uniform_int(20, 400);
+    w.r = {static_cast<double>(rng.uniform_int(100, 1500)), 256, 50};
+    ledger.reserve(w.t0, w.t1, w.r);
+    oldest = (oldest + 1) % live.size();
+    for (int q = 0; q < 4; ++q) {
+      const SimTime q0 = now + rng.uniform_int(0, 300);
+      benchmark::DoNotOptimize(ledger.fits(q0, q0 + 200, {1500, 512, 100}));
+    }
+    const SimTime s0 = now + rng.uniform_int(0, 300);
+    benchmark::DoNotOptimize(ledger.span_could_fit(s0, s0 + 400, {1500, 512, 100}));
+    if (++cycle % kCompactEvery == 0) ledger.compact_before(now - kKeep);
+  };
+  for (int i = 0; i < 3000; ++i) step();  // reach the steady history size
+  for (auto _ : state) step();
+  state.counters["segments"] = static_cast<double>(ledger.segment_count());
+}
+BENCHMARK(BM_LedgerChurnWithHistory);
 
 void BM_LedgerEarliestFit(benchmark::State& state) {
   cluster::ReservationLedger ledger({4000, 16384, 1000});

@@ -108,8 +108,10 @@ class CellTopology {
   /// with the exact ledger query, so decisions stay correct — only the jump
   /// hint quality degrades) and loud under the audit tier, where
   /// refresh_block cross-checks cached epochs against ledger versions.
-  /// compact_before needs no call: it never moves the ledger's maintained
-  /// peak bound, so free_fraction is unchanged by it.
+  /// compact_before never moves the ledger's maintained peak bound, so
+  /// free_fraction is unchanged by it, but it does bump the ledger's epoch:
+  /// Cluster::compact_ledgers_before calls this after each compaction so the
+  /// audit-tier epoch cross-check stays exact.
   void note_mutation(MachineId m, const Machine& machine);
   [[nodiscard]] std::uint64_t live_placements(std::size_t cell) const {
     VMLP_CHECK_MSG(cell < cell_count(), "cell index out of range");

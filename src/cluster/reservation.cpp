@@ -23,6 +23,31 @@ constexpr double kHeadroomSafety = 1e-9;
 
 constexpr std::size_t kNoSegment = std::numeric_limits<std::size_t>::max();
 
+/// Partition point of `pred` over `segs` (true on a prefix, false after it),
+/// found by galloping back from the tail and binary-searching the last
+/// bracket. Mutations and queries land at or after "now", a few segments from
+/// the tail, while the profile keeps seconds of history in front, so this
+/// costs O(log distance from the tail) where a whole-vector binary search
+/// would pay for the history too. The index returned is the unique
+/// partition point either way.
+template <typename Segments, typename Pred>
+std::size_t tail_partition_point(const Segments& segs, Pred pred) {
+  std::size_t hi = segs.size();  // every index >= hi fails pred
+  std::size_t step = 1;
+  while (hi > 0) {
+    const std::size_t probe = hi > step ? hi - step : 0;
+    if (pred(segs[probe])) {
+      return static_cast<std::size_t>(
+          std::partition_point(segs.begin() + static_cast<std::ptrdiff_t>(probe) + 1,
+                               segs.begin() + static_cast<std::ptrdiff_t>(hi), pred) -
+          segs.begin());
+    }
+    hi = probe;
+    step <<= 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 ReservationLedger::ReservationLedger(ResourceVector capacity) : capacity_(capacity) {
@@ -60,16 +85,14 @@ bool ReservationLedger::segment_blocks(const Segment& s, const ResourceVector& r
 }
 
 std::size_t ReservationLedger::lower_index(SimTime t) const {
-  const auto it = std::lower_bound(segs_.begin(), segs_.end(), t,
-                                   [](const Segment& s, SimTime v) { return s.start < v; });
-  return static_cast<std::size_t>(it - segs_.begin());
+  return tail_partition_point(segs_, [t](const Segment& s) { return s.start < t; });
 }
 
 std::size_t ReservationLedger::covering_index(SimTime t) const {
-  const auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                                   [](SimTime v, const Segment& s) { return v < s.start; });
-  VMLP_CHECK_MSG(it != segs_.begin(), "time " << t << " precedes ledger origin");
-  return static_cast<std::size_t>(it - segs_.begin()) - 1;
+  const std::size_t after =
+      tail_partition_point(segs_, [t](const Segment& s) { return s.start <= t; });
+  VMLP_CHECK_MSG(after != 0, "time " << t << " precedes ledger origin");
+  return after - 1;
 }
 
 std::size_t ReservationLedger::hinted_covering_index(SimTime t,
@@ -77,9 +100,9 @@ std::size_t ReservationLedger::hinted_covering_index(SimTime t,
   // A usable hint names a segment starting at or before t *in the current
   // profile* — checked here, so callers may carry hints across mutations.
   // When it holds, the covering segment lies at or after the hint: walk
-  // forward to the last segment with start <= t — the same index the binary
+  // forward to the last segment with start <= t — the same index the tail
   // search would find. A hint left far behind by mutations would make that
-  // walk worse than the O(log n) search, so bail out after a few steps — a
+  // walk worse than the logarithmic search, so bail out after a few steps — a
   // bail-out falls back to the search and counts as a miss, like no hint.
   constexpr std::size_t kMaxHintWalk = 32;
   if (cover_hint != nullptr && *cover_hint < segs_.size() && segs_[*cover_hint].start <= t) {
@@ -110,11 +133,10 @@ std::size_t ReservationLedger::split_index_at(SimTime t) {
   return i;
 }
 
-void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
+void ReservationLedger::coalesce(std::size_t begin, SimTime t1) {
   // Walk from the segment before the touched range, erasing the later of
   // each nearly-equal adjacent pair.
-  std::size_t i = lower_index(t0);
-  if (i > 0) --i;
+  std::size_t i = begin > 0 ? begin - 1 : 0;
   while (i + 1 < segs_.size()) {
     if (segs_[i + 1].start > t1) break;
     if (nearly_equal(segs_[i].level, segs_[i + 1].level)) {
@@ -125,15 +147,17 @@ void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
   }
 }
 
-void ReservationLedger::ensure_index() const {
-  if (!index_dirty_) return;
+void ReservationLedger::rebuild_index() const {
   const std::size_t blocks = (segs_.size() + kBlockSize - 1) >> kBlockShift;
   block_max_.resize(blocks);
   block_min_.resize(blocks);
+  block_prefix_max_.resize(blocks);
   // Only blocks from the first mutated index onward can be stale: edits
   // never shift or change segments below `dirty_from_`, so the historical
-  // prefix keeps its cached entries. The peak refold over block maxima is
-  // O(blocks) — noise next to even one partial rebuild.
+  // prefix keeps its cached entries — block extrema and prefix maxima alike.
+  // The prefix maxima fold the block maxima in profile order, exactly as a
+  // whole-profile refold would, so peak_ gets the same bits for the price of
+  // the rebuilt tail.
   const std::size_t first = std::min(dirty_from_, segs_.size() - 1) >> kBlockShift;
   for (std::size_t b = first; b < blocks; ++b) {
     const std::size_t lo = b << kBlockShift;
@@ -146,9 +170,9 @@ void ReservationLedger::ensure_index() const {
     }
     block_max_[b] = mx;
     block_min_[b] = mn;
+    block_prefix_max_[b] = b == 0 ? mx : block_prefix_max_[b - 1].max(mx);
   }
-  peak_ = block_max_[0];
-  for (std::size_t b = 1; b < blocks; ++b) peak_ = peak_.max(block_max_[b]);
+  peak_ = block_prefix_max_.back();
   index_dirty_ = false;
   dirty_from_ = segs_.size();
 }
@@ -174,7 +198,7 @@ void ReservationLedger::reserve(SimTime t0, SimTime t1, const ResourceVector& r)
     // move the whole-profile peak to one of the levels written here.
     peak_ = peak_.max(segs_[i].level);
   }
-  coalesce(t0, t1);
+  coalesce(begin, t1);
   index_dirty_ = true;
   dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
   if (obs_ != nullptr) {
@@ -200,7 +224,7 @@ void ReservationLedger::release(SimTime t0, SimTime t1, const ResourceVector& r)
     if (segs_[i].level.near_zero()) segs_[i].level = ResourceVector::zero();
     segs_[i].headroom = headroom_of(segs_[i].level);
   }
-  coalesce(t0, t1);
+  coalesce(begin, t1);
   index_dirty_ = true;
   dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
   if (::vmlp::audit::enabled()) audit_invariants();
@@ -240,7 +264,7 @@ ResourceVector ReservationLedger::max_usage(SimTime t0, SimTime t1) const {
   ensure_index();
   const std::size_t lo = covering_index(t0);
   // The window-end bound is checked lazily against segment starts instead
-  // of a second binary search: for i >= lo, `segs_[i].start < t1` is
+  // of a second search: for i >= lo, `segs_[i].start < t1` is
   // exactly `i < lower_index(t1)`, and the fold order is unchanged.
   ResourceVector m = segs_[lo].level;
   std::size_t i = lo;
@@ -401,9 +425,9 @@ SimTime ReservationLedger::earliest_fit(SimTime from, SimDuration duration,
 
 void ReservationLedger::audit_invariants() const {
   VMLP_CHECK_MSG(!segs_.empty(), "ledger profile lost its origin segment");
-  const Segment* prev = nullptr;
   ResourceVector fold = segs_.front().level;
-  for (const Segment& s : segs_) {
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    const Segment& s = segs_[i];
     VMLP_CHECK_MSG(s.level.is_finite(), "non-finite ledger level at t=" << s.start);
     VMLP_CHECK_MSG(!s.level.any_negative(),
                    "negative ledger level " << s.level.to_string() << " at t=" << s.start);
@@ -416,12 +440,19 @@ void ReservationLedger::audit_invariants() const {
                    "ledger peak " << peak_.to_string() << " understates level "
                                   << s.level.to_string() << " at t=" << s.start);
     fold = fold.max(s.level);
-    if (prev != nullptr) {
-      VMLP_CHECK_MSG(prev->start < s.start, "ledger segments out of order at t=" << s.start);
-      VMLP_CHECK_MSG(!nearly_equal(prev->level, s.level),
+    if (i > 0) {
+      const Segment& prev = segs_[i - 1];
+      VMLP_CHECK_MSG(prev.start < s.start, "ledger segments out of order at t=" << s.start);
+      VMLP_CHECK_MSG(!nearly_equal(prev.level, s.level),
                      "ledger not canonical: duplicate adjacent level at t=" << s.start);
     }
-    prev = &s;
+    // While the index is clean, each block's prefix max is the profile max
+    // through that block's last segment.
+    const bool block_end = (i & (kBlockSize - 1)) == kBlockSize - 1 || i + 1 == segs_.size();
+    VMLP_CHECK_MSG(index_dirty_ || !block_end || block_prefix_max_[i >> kBlockShift] == fold,
+                   "clean index but block " << (i >> kBlockShift) << " prefix max "
+                                            << block_prefix_max_[i >> kBlockShift].to_string()
+                                            << " != profile max " << fold.to_string());
   }
   // Right after an index rebuild the bound is exact, not just an upper bound.
   VMLP_CHECK_MSG(index_dirty_ || fold == peak_,

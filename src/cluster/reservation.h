@@ -12,12 +12,19 @@
 // batched reserve/release edits). Each segment caches a scalar *headroom*
 // (the tightest remaining-capacity fraction across resource dimensions), and
 // a lazily rebuilt coarse index stores per-block component-wise max/min
-// levels plus the whole-profile peak. `fits` / `max_usage` / `min_usage` /
-// `span_could_fit` then answer by walking blocks instead of every segment in
-// the window, and an uncontended window is accepted from the cached peak
-// alone. Every query is a plain scalar walk; tests/map_ledger.h keeps the
-// original std::map representation as a differential oracle that the fuzz
-// suite (tests/test_reservation_fuzz.cpp) compares against bit for bit.
+// levels plus per-block prefix maxima, whose last entry is the whole-profile
+// peak. `fits` / `max_usage` / `min_usage` / `span_could_fit` then answer by
+// walking blocks instead of every segment in the window, and an uncontended
+// window is accepted from the cached peak alone.
+//
+// Upkeep scales with the future, not the history: the profile keeps seconds
+// of settled history in front of "now", but every mutation lands at or after
+// "now". Index searches gallop back from the tail, and a rebuild refreshes
+// block entries and prefix maxima only from the first block a mutation
+// touched, so neither pays for the history. Every query is a plain scalar
+// walk; tests/map_ledger.h keeps the original std::map representation as a
+// differential oracle that the fuzz suite (tests/test_reservation_fuzz.cpp)
+// compares against bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +78,10 @@ class ReservationLedger {
   /// cache for repeated queries with nearby window starts. Any value is
   /// accepted — a hint that no longer names a segment starting at or before
   /// t0 in the *current* profile (kNoCoverHint, out of range, or left ahead
-  /// by mutations) falls back to the binary search; a valid one is walked
+  /// by mutations) falls back to the tail search; a valid one is walked
   /// forward to covering_index(t0), which is what the hint holds on exit.
   /// The admission probe loop keeps one hint per machine across stages, so
-  /// most probes skip the binary search entirely. The covering index found
+  /// most probes skip the search entirely. The covering index found
   /// is identical either way — results do not depend on the hint.
   [[nodiscard]] bool span_could_fit(SimTime t0, SimTime t1, const ResourceVector& r,
                                     std::size_t* cover_hint = nullptr) const;
@@ -110,7 +117,8 @@ class ReservationLedger {
   /// every level is finite and non-negative, segments are ordered, the list
   /// is canonical (no adjacent equal levels), cached headrooms are fresh,
   /// and the maintained peak bounds every level from above (exactly equal
-  /// to the fold while the index is clean). Throws InvariantError on
+  /// to the fold while the index is clean, as is each block's prefix max to
+  /// the fold through that block). Throws InvariantError on
   /// violation. Called automatically after mutations when
   /// vmlp::audit::enabled(); also callable directly from tests.
   void audit_invariants() const;
@@ -170,18 +178,24 @@ class ReservationLedger {
   /// exact vector compare would reject.
   [[nodiscard]] double demand_fraction(const ResourceVector& r) const;
   /// Index of the segment covering t. Throws if t precedes the origin.
+  /// Searched from the tail, like lower_index.
   [[nodiscard]] std::size_t covering_index(SimTime t) const;
   /// covering_index(t) resolved through an optional caller-held hint (see
-  /// fits): a valid hint turns the binary search into a short forward walk.
+  /// fits): a valid hint turns the tail search into a short forward walk.
   [[nodiscard]] std::size_t hinted_covering_index(SimTime t, std::size_t* cover_hint) const;
-  /// First segment index with start >= t.
+  /// First segment index with start >= t, galloping back from the tail.
   [[nodiscard]] std::size_t lower_index(SimTime t) const;
   /// Ensure a segment starts exactly at t; returns its index.
   std::size_t split_index_at(SimTime t);
-  /// Merge adjacent segments with equal levels around the touched range.
-  void coalesce(SimTime t0, SimTime t1);
-  /// Rebuild peak/block caches if a mutation invalidated them.
-  void ensure_index() const;
+  /// Merge adjacent segments with equal levels around the touched range,
+  /// which starts at segment index `begin` and ends at time `t1`.
+  void coalesce(std::size_t begin, SimTime t1);
+  /// Rebuild peak/block caches if a mutation invalidated them. The check is
+  /// inline: nearly every query finds the index clean.
+  void ensure_index() const {
+    if (index_dirty_) rebuild_index();
+  }
+  void rebuild_index() const;
   [[nodiscard]] bool segment_blocks(const Segment& s, const ResourceVector& r,
                                     double frac) const;
   /// Start of the first segment after the maximal run of blocking segments
@@ -202,16 +216,22 @@ class ReservationLedger {
   ArenaVector<Segment> segs_;
   // Coarse window-max index over the flat segments, rebuilt lazily on the
   // first query after a mutation — and only from `dirty_from_` onward.
-  // Mutations target windows at or after "now" while the profile keeps up to
-  // a second of history in front, so the long historical prefix of blocks
-  // stays valid and a rebuild touches only the recent tail. Erase/insert
-  // shifts indices only at or after the mutation point, never before it,
-  // which is what keeps prefix blocks exact.
+  // Mutations target windows at or after "now" while the profile keeps
+  // seconds of history in front (the driver compacts every
+  // ledger_compact_period to one second before "now"), so the historical
+  // prefix of blocks stays valid and a rebuild touches only the recent tail.
+  // Erase/insert shifts indices only at or after the mutation point, never
+  // before it, which is what keeps prefix blocks exact.
   mutable ArenaVector<ResourceVector> block_max_;
   mutable ArenaVector<ResourceVector> block_min_;
+  /// block_prefix_max_[b] = component-wise max of block_max_[0..b], folded in
+  /// block order. Entries before the first stale block stay exact, so a
+  /// rebuild refolds only the tail and the peak is the last entry.
+  mutable ArenaVector<ResourceVector> block_prefix_max_;
   /// Whole-profile peak, maintained as a component-wise UPPER bound on every
-  /// segment level between index rebuilds (audit_invariants checks it): exact right after ensure_index(); reserve() folds the levels
-  /// it writes (still exact — reserving only raises levels); release() and
+  /// segment level between index rebuilds (audit_invariants checks it):
+  /// exact right after ensure_index(); reserve() folds the levels it writes
+  /// (still exact — reserving only raises levels); release() and
   /// compact_before() leave it stale-high. free_fraction() reads it without
   /// forcing a rebuild, so its result is a sound lower bound on the true
   /// guaranteed-free fraction — which is all the cell headroom summary

@@ -3,10 +3,20 @@
 // (Table III) and the dimensions of its utilization metric U.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace vmlp::cluster {
 
+inline constexpr double kResourceEpsilon = 1e-6;
+
+// The arithmetic, min/max and epsilon predicates below are defined inline:
+// the ledger walks call them tens of millions of times per run. Inlining is
+// bit-identical only because no translation unit is built with FMA
+// contraction or fast-math; keep it that way. Keep this header out of
+// common/simd_avx2.cpp too: an inline copy compiled there with -mavx2 could
+// be the one the linker keeps and run on a CPU without AVX2.
 struct ResourceVector {
   double cpu = 0.0;  ///< millicores
   double mem = 0.0;  ///< MB
@@ -14,9 +24,24 @@ struct ResourceVector {
 
   static ResourceVector zero() { return {}; }
 
-  ResourceVector& operator+=(const ResourceVector& o);
-  ResourceVector& operator-=(const ResourceVector& o);
-  ResourceVector& operator*=(double k);
+  ResourceVector& operator+=(const ResourceVector& o) {
+    cpu += o.cpu;
+    mem += o.mem;
+    io += o.io;
+    return *this;
+  }
+  ResourceVector& operator-=(const ResourceVector& o) {
+    cpu -= o.cpu;
+    mem -= o.mem;
+    io -= o.io;
+    return *this;
+  }
+  ResourceVector& operator*=(double k) {
+    cpu *= k;
+    mem *= k;
+    io *= k;
+    return *this;
+  }
 
   friend ResourceVector operator+(ResourceVector a, const ResourceVector& b) { return a += b; }
   friend ResourceVector operator-(ResourceVector a, const ResourceVector& b) { return a -= b; }
@@ -27,21 +52,33 @@ struct ResourceVector {
   }
 
   /// Component-wise max / min.
-  [[nodiscard]] ResourceVector max(const ResourceVector& o) const;
-  [[nodiscard]] ResourceVector min(const ResourceVector& o) const;
+  [[nodiscard]] ResourceVector max(const ResourceVector& o) const {
+    return {std::max(cpu, o.cpu), std::max(mem, o.mem), std::max(io, o.io)};
+  }
+  [[nodiscard]] ResourceVector min(const ResourceVector& o) const {
+    return {std::min(cpu, o.cpu), std::min(mem, o.mem), std::min(io, o.io)};
+  }
   /// Clamp each component into [0, hi_component].
   [[nodiscard]] ResourceVector clamp_to(const ResourceVector& hi) const;
 
   /// True when every component of this fits within `budget` (<=, with a small
   /// epsilon to absorb floating-point drift from repeated reserve/release).
-  [[nodiscard]] bool fits_within(const ResourceVector& budget) const;
+  [[nodiscard]] bool fits_within(const ResourceVector& budget) const {
+    return cpu <= budget.cpu + kResourceEpsilon && mem <= budget.mem + kResourceEpsilon &&
+           io <= budget.io + kResourceEpsilon;
+  }
   /// True when any component is negative (beyond epsilon).
-  [[nodiscard]] bool any_negative() const;
+  [[nodiscard]] bool any_negative() const {
+    return cpu < -kResourceEpsilon || mem < -kResourceEpsilon || io < -kResourceEpsilon;
+  }
   /// True when every component is a finite number (no NaN/inf). Corrupted
   /// arithmetic upstream shows up here first; checked by the audit layer.
   [[nodiscard]] bool is_finite() const;
   /// True when every component is (near) zero.
-  [[nodiscard]] bool near_zero() const;
+  [[nodiscard]] bool near_zero() const {
+    return std::abs(cpu) <= kResourceEpsilon && std::abs(mem) <= kResourceEpsilon &&
+           std::abs(io) <= kResourceEpsilon;
+  }
 
   /// Sum of per-component utilization fractions vs. `capacity` (each clamped
   /// to [0,1]); divide by 3 for the paper's per-node efficiency term.
@@ -53,7 +90,5 @@ struct ResourceVector {
 
   [[nodiscard]] std::string to_string() const;
 };
-
-inline constexpr double kResourceEpsilon = 1e-6;
 
 }  // namespace vmlp::cluster

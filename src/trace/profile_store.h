@@ -89,7 +89,7 @@ class ProfileStore {
   };
   struct Ring {
     std::vector<ExecutionCase> cases;  // capacity-bounded ring
-    std::size_t next = 0;              // insertion cursor once full
+    std::size_t next = 0;              // oldest slot: 0 until full, then the insertion cursor
     bool full = false;
     std::uint64_t revision = 0;        // total records ever
     // O(1) aggregates maintained incrementally.
@@ -97,14 +97,12 @@ class ProfileStore {
     cluster::ResourceVector usage_sum;
     // Hot queries are answered from these caches, refreshed after
     // kCacheStaleness new records (Algorithm 1 calls them per stage, per
-    // planning attempt — recomputation each call would sort the ring).
+    // planning attempt — recomputation each call would rescan the ring).
     mutable CachedValue cached_max;
     mutable std::unordered_map<QuantileKey, CachedValue, QuantileKeyHash> cached_quantiles;
   };
 
   [[nodiscard]] const Ring* find(ServiceTypeId service, RequestTypeId request_type) const;
-  /// Cases in oldest→newest order.
-  [[nodiscard]] static std::vector<const ExecutionCase*> ordered(const Ring& ring);
 
   std::size_t capacity_;
   std::unordered_map<Key, Ring, KeyHash> rings_;

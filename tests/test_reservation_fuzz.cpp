@@ -12,6 +12,11 @@
 //     headroom freshness, the peak upper bound) on every mutation when
 //     auditing is enabled.
 //
+// The HistoryHeavy family reproduces the simulator's shape: well over a
+// thousand settled segments behind a moving "now", all edits at or after it.
+// That is the regime where index searches gallop back from the tail and
+// rebuilds refold only the dirty tail of the block prefix maxima.
+//
 // Runs under the asan-ubsan preset like every other test binary.
 #include <gtest/gtest.h>
 
@@ -21,6 +26,8 @@
 
 #include "cluster/reservation.h"
 #include "cluster/resources.h"
+#include "common/audit.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "map_ledger.h"
 
@@ -272,6 +279,223 @@ TEST(LedgerFuzz, EarliestFitInfiniteTailTerminates) {
   MapLedger oracle({4, 4, 4});
   check(flat);
   check(oracle);
+}
+
+/// Turns the audit layer on for one test and restores the previous setting.
+class ScopedAudit {
+ public:
+  ScopedAudit() : was_(audit::enabled()) { audit::set_enabled(true); }
+  ~ScopedAudit() { audit::set_enabled(was_); }
+  ScopedAudit(const ScopedAudit&) = delete;
+  ScopedAudit& operator=(const ScopedAudit&) = delete;
+
+ private:
+  bool was_;
+};
+
+/// Overlapping windows of random demand, `spacing` apart from time 0 onward,
+/// a segment or two per window; none is ever released.
+void build_history(ReservationLedger& flat, MapLedger& oracle, Rng& rng, int windows,
+                   SimTime spacing) {
+  for (int k = 0; k < windows; ++k) {
+    const SimTime t0 = k * spacing;
+    const SimTime t1 = t0 + rng.uniform_int(spacing + 1, 6 * spacing);
+    const ResourceVector res = random_res(rng) * 0.25;
+    flat.reserve(t0, t1, res);
+    oracle.reserve(t0, t1, res);
+  }
+}
+
+template <typename Fn>
+bool throws(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvariantError&) {
+    return true;
+  }
+  return false;
+}
+
+/// Every query of the flat ledger against the oracle over [t0, t1),
+/// bit for bit, then a full audit: the queries rebuilt the index, so the
+/// audit checks the peak and every block prefix max against the fold.
+void expect_window_matches(const ReservationLedger& flat, const MapLedger& oracle, SimTime t0,
+                           SimTime t1, const ResourceVector& demand, std::size_t* hint,
+                           int trial, int op) {
+  expect_bitwise_equal(flat.max_usage(t0, t1), oracle.max_usage(t0, t1), "max_usage", trial, op);
+  expect_bitwise_equal(flat.min_usage(t0, t1), oracle.min_usage(t0, t1), "min_usage", trial, op);
+  expect_bitwise_equal(flat.usage_at(t0), oracle.usage_at(t0), "usage_at", trial, op);
+  expect_bitwise_equal(flat.available(t0, t1), oracle.available(t0, t1), "available", trial,
+                       op);
+  SimTime bound = std::numeric_limits<SimTime>::min();
+  SimTime oracle_bound = std::numeric_limits<SimTime>::min();
+  const bool fits = flat.fits(t0, t1, demand, hint, &bound);
+  EXPECT_EQ(fits, oracle.fits(t0, t1, demand, &oracle_bound))
+      << "fits diverged (trial " << trial << " op " << op << ")";
+  EXPECT_EQ(bound, oracle_bound) << "refit bound diverged (trial " << trial << " op " << op
+                                 << ")";
+  EXPECT_EQ(flat.span_could_fit(t0, t1, demand, hint), oracle.span_could_fit(t0, t1, demand))
+      << "span_could_fit diverged (trial " << trial << " op " << op << ")";
+  const SimDuration dur = std::max<SimDuration>(1, (t1 - t0) / 2);
+  EXPECT_EQ(flat.earliest_fit(t0, dur, demand, t1 + 4096),
+            oracle.earliest_fit(t0, dur, demand, t1 + 4096))
+      << "earliest_fit diverged (trial " << trial << " op " << op << ")";
+  flat.audit_invariants();
+}
+
+/// A moving "now" with 1,500+ settled segments behind it: reserves land in
+/// the near future, releases free the unstarted tail of a live window (what
+/// the driver does on early completion), queries probe the future, the
+/// origin and deep history, and compaction drops all but the last stretch of
+/// history. The audit layer runs on every mutation.
+TEST(LedgerFuzz, HistoryHeavyProfileMatchesOracle) {
+  const ScopedAudit audit_on;
+  Rng rng(20220611);
+  for (int trial = 0; trial < 4; ++trial) {
+    ReservationLedger flat(kCapacity);
+    MapLedger oracle(kCapacity);
+    build_history(flat, oracle, rng, 2400, 2);
+    ASSERT_GE(flat.segment_count(), 3000u) << "trial " << trial;
+    ASSERT_EQ(flat.segment_count(), oracle.segment_count()) << "trial " << trial;
+
+    SimTime now = 2 * 2400 + 6 * 2;  // past every history window
+    SimTime origin = 0;             // exact until the first compaction
+    bool compacted = false;
+    std::vector<ActiveWindow> active;
+    std::size_t hint = kNoCoverHint;
+    for (int op = 0; op < 400; ++op) {
+      now += rng.uniform_int(0, 6);
+      const double dice = rng.uniform();
+      if (dice < 0.35 || active.empty()) {
+        const SimTime t0 = now + rng.uniform_int(0, 40);
+        const SimTime t1 = t0 + rng.uniform_int(1, 60);
+        const ResourceVector res = random_res(rng) * 0.25;
+        flat.reserve(t0, t1, res);
+        oracle.reserve(t0, t1, res);
+        active.push_back(ActiveWindow{t0, t1, res});
+      } else if (dice < 0.55) {
+        // Release the unstarted tail of a live window; a window that already
+        // ended is settled history and simply forgotten.
+        const auto idx = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1));
+        const ActiveWindow w = active[idx];
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(idx));
+        if (w.t1 > now) {
+          const SimTime from = std::max(w.t0, now);
+          flat.release(from, w.t1, w.res);
+          oracle.release(from, w.t1, w.res);
+        }
+      } else if (dice < 0.58) {
+        // Every edit lies at or after now, so any point before it is safe;
+        // like the driver, keep a long stretch of history.
+        const SimTime cp = now - rng.uniform_int(2800, 3200);
+        if (cp > origin) {
+          flat.compact_before(cp);
+          oracle.compact_before(cp);
+          origin = cp;  // a lower bound from here on: the cover of cp survives
+          compacted = true;
+          // The prefix erase shifted every index: the next query rebuilds
+          // the whole index, and the audit checks every prefix entry.
+          expect_window_matches(flat, oracle, cp, cp + 1, random_res(rng), &hint, trial, op);
+        }
+      } else {
+        EXPECT_EQ(flat.segment_count(), oracle.segment_count())
+            << "canonical profiles diverged (trial " << trial << " op " << op << ")";
+        const ResourceVector demand = random_res(rng);
+        // Near future, the common case.
+        const SimTime f0 = now + rng.uniform_int(0, 50);
+        expect_window_matches(flat, oracle, f0, f0 + rng.uniform_int(1, 80), demand, &hint,
+                              trial, op);
+        // Past the last segment: the window lies in the infinite tail.
+        const SimTime far = now + 500 + rng.uniform_int(0, 500);
+        expect_window_matches(flat, oracle, far, far + rng.uniform_int(1, 50), demand, &hint,
+                              trial, op);
+        // The origin (exact before any compaction, the compaction point
+        // after) and deep history.
+        expect_window_matches(flat, oracle, origin, origin + rng.uniform_int(1, 400), demand,
+                              &hint, trial, op);
+        const SimTime deep = rng.uniform_int(origin, now);
+        expect_window_matches(flat, oracle, deep, deep + rng.uniform_int(1, 400), demand, &hint,
+                              trial, op);
+        // Before the origin both representations refuse. After a
+        // compaction the exact origin is somewhere at or below the
+        // compaction point, so probe just below it and demand that both
+        // agree on whether the time precedes the origin, and on the level
+        // when it does not.
+        EXPECT_THROW(static_cast<void>(flat.usage_at(-1)), InvariantError);
+        EXPECT_THROW(static_cast<void>(flat.max_usage(-1, now)), InvariantError);
+        if (compacted) {
+          const SimTime below = origin - rng.uniform_int(1, 20);
+          const bool flat_throws = throws([&] { static_cast<void>(flat.usage_at(below)); });
+          EXPECT_EQ(flat_throws, throws([&] { static_cast<void>(oracle.usage_at(below)); }))
+              << "origin check diverged at t=" << below << " (trial " << trial << " op " << op
+              << ")";
+          if (!flat_throws) {
+            expect_bitwise_equal(flat.usage_at(below), oracle.usage_at(below), "usage_at", trial,
+                                 op);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The tail search's edges on a long history, deterministically: the exact
+/// origin before and after compaction, times before it, a future with no
+/// reservations at all, and a full index rebuild after compaction.
+TEST(LedgerFuzz, HistoryHeavyTailSearchEdges) {
+  const ScopedAudit audit_on;
+  ReservationLedger flat(kCapacity);
+  MapLedger oracle(kCapacity);
+  // 1,600 back-to-back windows at strictly increasing levels: one segment
+  // each, boundaries exactly at multiples of 10, nothing coalesces.
+  for (int k = 0; k < 1600; ++k) {
+    const ResourceVector res{0.01 * static_cast<double>(k + 1), 0, 0};
+    flat.reserve(k * 10, (k + 1) * 10, res);
+    oracle.reserve(k * 10, (k + 1) * 10, res);
+  }
+  ASSERT_EQ(flat.segment_count(), 1601u);  // 1,600 levels + the empty tail
+  ASSERT_EQ(oracle.segment_count(), 1601u);
+  const ResourceVector demand{1, 1, 1};
+  std::size_t hint = kNoCoverHint;
+
+  // Empty future: "now" is past every reservation, so every future window
+  // is the zero tail, and the peak lies deep in history.
+  const SimTime now = 16000;
+  expect_window_matches(flat, oracle, now, now + 100, demand, &hint, 0, 0);
+  expect_window_matches(flat, oracle, now + 12345, now + 20000, demand, &hint, 0, 1);
+  expect_bitwise_equal(flat.usage_at(now), ResourceVector::zero(), "empty future", 0, 2);
+  // The last segment's start, and one before it.
+  expect_window_matches(flat, oracle, 15999, 16001, demand, &hint, 0, 3);
+  // Exactly the origin, with the whole history behind the search.
+  expect_window_matches(flat, oracle, 0, 1, demand, &hint, 0, 4);
+  expect_window_matches(flat, oracle, 0, now, demand, &hint, 0, 5);
+  EXPECT_THROW(static_cast<void>(flat.usage_at(-1)), InvariantError);
+  EXPECT_THROW(static_cast<void>(oracle.usage_at(-1)), InvariantError);
+
+  // Compact onto a boundary: the origin becomes exactly 5000, every
+  // surviving index shifts, and the next query rebuilds the whole index.
+  flat.compact_before(5000);
+  oracle.compact_before(5000);
+  ASSERT_EQ(flat.segment_count(), 1101u);
+  ASSERT_EQ(oracle.segment_count(), 1101u);
+  expect_window_matches(flat, oracle, 5000, 5001, demand, &hint, 1, 0);
+  expect_window_matches(flat, oracle, 5000, now, demand, &hint, 1, 1);
+  EXPECT_THROW(static_cast<void>(flat.usage_at(4999)), InvariantError);
+  EXPECT_THROW(static_cast<void>(oracle.usage_at(4999)), InvariantError);
+  EXPECT_THROW(static_cast<void>(flat.max_usage(0, 6000)), InvariantError);
+  EXPECT_THROW(static_cast<void>(flat.min_usage(4999, 6000)), InvariantError);
+
+  // Mutations right at the new origin, at the last segment and past it.
+  for (const SimTime t : {SimTime{5000}, SimTime{15990}, SimTime{20000}}) {
+    flat.reserve(t, t + 5, demand);
+    oracle.reserve(t, t + 5, demand);
+    expect_window_matches(flat, oracle, t, t + 5, demand, &hint, 2, static_cast<int>(t));
+    flat.release(t, t + 5, demand);
+    oracle.release(t, t + 5, demand);
+    expect_window_matches(flat, oracle, 5000, t + 10, demand, &hint, 3, static_cast<int>(t));
+  }
+  EXPECT_EQ(flat.segment_count(), oracle.segment_count());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tracing (Zipkin analogue) and the historical profile store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -177,6 +179,48 @@ TEST_F(ProfileStoreTest, QuantileOfRecentWindow) {
   // p99 of everything ~99.
   const auto q99 = *store.quantile_of_recent(svc_, req_, 0.99, 100.0);
   EXPECT_GE(q99, 98);
+}
+
+// quantile_of_recent selects the two order statistics it interpolates
+// between instead of sorting; the answer must equal a full sort's exactly,
+// on wrapped rings and with heavy duplication.
+TEST_F(ProfileStoreTest, QuantileMatchesSortedReference) {
+  static constexpr std::size_t kCapacity = 512;
+  auto reference = [](const std::vector<SimDuration>& history, double q, double x) {
+    const std::size_t n = std::min(history.size(), kCapacity);
+    const std::size_t take = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) * x / 100.0)));
+    std::vector<double> recent(history.end() - static_cast<std::ptrdiff_t>(take),
+                               history.end());
+    std::sort(recent.begin(), recent.end());
+    if (recent.size() == 1) return static_cast<SimDuration>(std::llround(recent[0]));
+    const double pos = q * static_cast<double>(recent.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = std::min(lo + 1, recent.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return static_cast<SimDuration>(std::llround(recent[lo] * (1.0 - frac) + recent[hi] * frac));
+  };
+  Rng rng(512);
+  for (const std::size_t records : {1u, 2u, 3u, 17u, 511u, 512u, 513u, 1000u, 1337u, 2050u}) {
+    for (const bool duplicates : {true, false}) {
+      ProfileStore store(kCapacity);
+      std::vector<SimDuration> history;
+      for (std::size_t i = 0; i < records; ++i) {
+        // Duplicates: a dozen distinct values. Otherwise a wide spread.
+        const SimDuration t = duplicates ? rng.uniform_int(0, 11) * 250
+                                         : rng.uniform_int(0, 5'000'000);
+        store.record(svc_, req_, make_case(t));
+        history.push_back(t);
+      }
+      for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+        for (const double x : {1.0, 10.0, 50.0, 100.0}) {
+          EXPECT_EQ(*store.quantile_of_recent(svc_, req_, q, x), reference(history, q, x))
+              << "records=" << records << " duplicates=" << duplicates << " q=" << q
+              << " x=" << x;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ProfileStoreTest, QuantileTakesAtLeastOne) {
