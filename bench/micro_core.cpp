@@ -1,18 +1,44 @@
 // Microbenchmarks (google-benchmark): hot-path substrate costs — the event
 // engine, the reservation ledger, the cell topology's SIMD kernel, RNG,
-// quantiles, and chain-choice sampling.
+// quantiles, chain-choice sampling and steady-state chain planning.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "app/dag.h"
 #include "cluster/reservation.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "loadgen/generator.h"
+#include "loadgen/patterns.h"
+#include "mlp/interface_layer.h"
+#include "mlp/self_organizing.h"
+#include "sched/driver.h"
 #include "sim/engine.h"
 #include "stats/percentile.h"
 #include "trace/profile_store.h"
+#include "workloads/suite.h"
+
+// Counting global allocator: BM_OrganizeSteadyState reports heap
+// allocations per organize() call.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into a caller, GCC pairs the malloc/free inside with
+// the new/delete expression and warns about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -265,10 +291,77 @@ void BM_ChainChoices(benchmark::State& state) {
   dag.add_edge(6, 7);
   dag.add_edge(7, 8);
   Rng rng(6);
+  app::ChainChoices out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dag.chain_choices(4, rng));
+    dag.chain_choices(4, rng, out);
+    benchmark::DoNotOptimize(out.rows.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ChainChoices);
+
+/// Hands each arrival to a SelfOrganizing it owns. The `warm`-th arrival
+/// runs the benchmark loop instead: organize() that request on the loaded
+/// 100-machine cell, then unplace its nodes again (untimed) so every
+/// iteration plans the same request against the same ledgers.
+class SteadyOrganizer final : public sched::IScheduler {
+ public:
+  SteadyOrganizer(benchmark::State& state, std::size_t warm) : state_(&state), warm_(warm) {}
+  [[nodiscard]] std::string name() const override { return "steady-organizer"; }
+  void attach(sched::SimulationDriver& driver) override {
+    sched::IScheduler::attach(driver);
+    iface_ = std::make_unique<mlp::InterfaceLayer>(driver);
+    organizer_ = std::make_unique<mlp::SelfOrganizing>(*iface_, mlp::VmlpParams{}, Rng(1));
+  }
+  void on_request_arrival(RequestId id) override {
+    if (++arrivals_ != warm_) {
+      (void)organizer_->organize(id);
+      return;
+    }
+    std::uint64_t allocations = 0;
+    for (auto _ : *state_) {
+      const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      const bool placed = organizer_->organize(id);
+      allocations += g_allocations.load(std::memory_order_relaxed) - before;
+      state_->PauseTiming();
+      sched::ActiveRequest* ar = driver_->find_request(id);
+      for (std::size_t n = 0; placed && n < ar->nodes.size(); ++n) driver_->unplace(id, n);
+      state_->ResumeTiming();
+    }
+    state_->counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(allocations), benchmark::Counter::kAvgIterations);
+  }
+  void on_node_unblocked(RequestId, std::size_t) override {}
+  void on_tick() override {}
+
+ private:
+  benchmark::State* state_;
+  std::size_t warm_;
+  std::size_t arrivals_ = 0;
+  std::unique_ptr<mlp::InterfaceLayer> iface_;
+  std::unique_ptr<mlp::SelfOrganizing> organizer_;
+};
+
+void BM_OrganizeSteadyState(benchmark::State& state) {
+  // The paper's evaluation cell: 100 machines, high-V_r stream, L3 periodic
+  // load; the loop runs at the 1,000th arrival, about 2 simulated seconds in.
+  const auto application = workloads::make_benchmark_suite();
+  const auto mix = loadgen::RequestMix::category(*application, app::VolatilityBand::kHigh);
+  loadgen::PatternParams pattern_params;
+  pattern_params.horizon = 4 * kSec;
+  pattern_params.peak_time = pattern_params.horizon * 2 / 5;
+  const auto pattern =
+      loadgen::WorkloadPattern::make(loadgen::PatternKind::kL3Periodic, pattern_params, 3);
+  Rng arrival_rng(4);
+  const auto arrivals = loadgen::generate_arrivals(pattern, mix, arrival_rng, 1.0);
+  sched::DriverParams params;
+  params.horizon = pattern_params.horizon;
+  params.cluster.machine_count = 100;
+  SteadyOrganizer scheduler(state, 1000);
+  sched::SimulationDriver driver(*application, scheduler, params);
+  driver.load_arrivals(arrivals);
+  (void)driver.run();
+}
+BENCHMARK(BM_OrganizeSteadyState)->Iterations(20000);
 
 }  // namespace

@@ -123,7 +123,7 @@ VolatilityBand Application::band(RequestTypeId id) const {
 
 SimDuration Application::nominal_e2e(RequestTypeId id, SimDuration edge_comm) const {
   const RequestType& rt = request(id);
-  const auto order = rt.dag().topo_order();
+  const auto& order = rt.dag().topo_order();
   std::vector<double> finish(rt.size(), 0.0);
   for (std::size_t node : order) {
     double start = 0.0;

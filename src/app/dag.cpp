@@ -1,14 +1,15 @@
 #include "app/dag.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/error.h"
 
 namespace vmlp::app {
 
-Dag::Dag(std::size_t nodes) : n_(nodes), parents_(nodes), children_(nodes) {
+Dag::Dag(std::size_t nodes)
+    : n_(nodes), parents_(nodes), children_(nodes), parent_offsets_(nodes + 1, 0) {
   VMLP_CHECK_MSG(nodes > 0, "DAG needs at least one node");
+  refresh_canonical();
 }
 
 void Dag::add_edge(std::size_t from, std::size_t to) {
@@ -17,6 +18,8 @@ void Dag::add_edge(std::size_t from, std::size_t to) {
   edges_.emplace_back(from, to);
   children_[from].push_back(to);
   parents_[to].push_back(from);
+  for (std::size_t i = to + 1; i <= n_; ++i) ++parent_offsets_[i];
+  refresh_canonical();
 }
 
 const std::vector<std::size_t>& Dag::parents(std::size_t node) const {
@@ -27,6 +30,11 @@ const std::vector<std::size_t>& Dag::parents(std::size_t node) const {
 const std::vector<std::size_t>& Dag::children(std::size_t node) const {
   VMLP_CHECK(node < n_);
   return children_[node];
+}
+
+std::size_t Dag::parent_offset(std::size_t node) const {
+  VMLP_CHECK(node <= n_);
+  return parent_offsets_[node];
 }
 
 std::vector<std::size_t> Dag::roots() const {
@@ -45,18 +53,15 @@ std::vector<std::size_t> Dag::sinks() const {
   return out;
 }
 
-std::vector<std::size_t> Dag::topo_with_tiebreak(Rng* rng) const {
-  std::vector<std::size_t> indegree(n_, 0);
-  for (const auto& [from, to] : edges_) {
-    (void)from;
-    ++indegree[to];
-  }
-  std::vector<std::size_t> frontier;
+std::size_t Dag::kahn(Rng* rng, std::vector<std::size_t>& indegree,
+                      std::vector<std::size_t>& frontier, std::size_t* order) const {
+  indegree.resize(n_);
+  frontier.clear();
   for (std::size_t i = 0; i < n_; ++i) {
+    indegree[i] = parents_[i].size();
     if (indegree[i] == 0) frontier.push_back(i);
   }
-  std::vector<std::size_t> order;
-  order.reserve(n_);
+  std::size_t placed = 0;
   while (!frontier.empty()) {
     std::size_t pick_pos = 0;
     if (rng != nullptr && frontier.size() > 1) {
@@ -68,47 +73,53 @@ std::vector<std::size_t> Dag::topo_with_tiebreak(Rng* rng) const {
     }
     const std::size_t node = frontier[pick_pos];
     frontier.erase(frontier.begin() + static_cast<std::ptrdiff_t>(pick_pos));
-    order.push_back(node);
+    order[placed++] = node;
     for (std::size_t child : children_[node]) {
       if (--indegree[child] == 0) frontier.push_back(child);
     }
   }
-  VMLP_CHECK_MSG(order.size() == n_, "DAG contains a cycle");
-  return order;
+  return placed;
 }
 
-bool Dag::is_acyclic() const {
-  try {
-    (void)topo_with_tiebreak(nullptr);
-    return true;
-  } catch (const InvariantError&) {
-    return false;
-  }
+void Dag::refresh_canonical() {
+  std::vector<std::size_t> indegree;
+  std::vector<std::size_t> frontier;
+  canonical_.resize(n_);
+  canonical_.resize(kahn(nullptr, indegree, frontier, canonical_.data()));
+  acyclic_ = canonical_.size() == n_;
 }
 
-std::vector<std::size_t> Dag::topo_order() const { return topo_with_tiebreak(nullptr); }
+const std::vector<std::size_t>& Dag::topo_order() const {
+  VMLP_CHECK_MSG(acyclic_, "DAG contains a cycle");
+  return canonical_;
+}
 
-std::vector<std::vector<std::size_t>> Dag::chain_choices(std::size_t max_choices, Rng& rng) const {
+void Dag::chain_choices(std::size_t max_choices, Rng& rng, ChainChoices& out) const {
   VMLP_CHECK(max_choices >= 1);
-  std::set<std::vector<std::size_t>> unique;
-  std::vector<std::vector<std::size_t>> out;
-  const auto canonical = topo_order();
-  unique.insert(canonical);
-  out.push_back(canonical);
+  const std::vector<std::size_t>& canonical = topo_order();
+  out.width = n_;
+  if (out.rows.size() < max_choices * n_) out.rows.resize(max_choices * n_);
+  std::copy(canonical.begin(), canonical.end(), out.rows.begin());
+  out.count = 1;
   // Sampling budget: a few tries per requested choice is enough in practice;
   // narrow DAGs simply yield fewer distinct linearizations.
   const std::size_t attempts = max_choices * 4;
-  for (std::size_t i = 0; i < attempts && out.size() < max_choices; ++i) {
-    auto order = topo_with_tiebreak(&rng);
-    if (unique.insert(order).second) out.push_back(std::move(order));
+  for (std::size_t i = 0; i < attempts && out.count < max_choices; ++i) {
+    // Sample straight into the next free row; it is kept only if it differs
+    // from every row already kept (at most m, so a scan beats a set).
+    std::size_t* candidate = out.rows.data() + out.count * n_;
+    (void)kahn(&rng, out.indegree, out.frontier, candidate);
+    bool fresh = true;
+    for (std::size_t r = 0; r < out.count && fresh; ++r) {
+      fresh = !std::equal(candidate, candidate + n_, out.rows.data() + r * n_);
+    }
+    if (fresh) ++out.count;
   }
-  return out;
 }
 
 std::size_t Dag::critical_path_length() const {
-  const auto order = topo_order();
   std::vector<std::size_t> depth(n_, 1);
-  for (std::size_t node : order) {
+  for (std::size_t node : topo_order()) {
     for (std::size_t child : children_[node]) {
       depth[child] = std::max(depth[child], depth[node] + 1);
     }

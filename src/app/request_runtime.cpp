@@ -103,7 +103,7 @@ void RequestRuntime::mark_failed(std::size_t i, SimTime t) {
   n.ready_at = t;
 }
 
-std::vector<std::size_t> RequestRuntime::mark_done(std::size_t i, SimTime t) {
+void RequestRuntime::mark_done(std::size_t i, SimTime t) {
   NodeRuntime& n = node(i);
   VMLP_CHECK_MSG(n.state == NodeState::kRunning,
                  "finishing node " << i << " in state " << node_state_name(n.state));
@@ -111,13 +111,11 @@ std::vector<std::size_t> RequestRuntime::mark_done(std::size_t i, SimTime t) {
   n.finished_at = t;
   ++done_count_;
 
-  std::vector<std::size_t> unblocked;
   for (std::size_t child : type_->dag().children(i)) {
     NodeRuntime& c = nodes_[child];
     VMLP_CHECK(c.pending_parents > 0);
-    if (--c.pending_parents == 0) unblocked.push_back(child);
+    --c.pending_parents;
   }
-  return unblocked;
 }
 
 void RequestRuntime::mark_abandoned(std::size_t i) {

@@ -66,9 +66,10 @@ class RequestRuntime {
   /// invocation timeout): back to kReady for re-placement. Dependencies stay
   /// satisfied; completed work is discarded.
   void mark_failed(std::size_t i, SimTime t);
-  /// Record completion; returns children whose dependencies are now all met
-  /// (they are NOT auto-marked ready — communication delay happens first).
-  std::vector<std::size_t> mark_done(std::size_t i, SimTime t);
+  /// Record completion and count it off each child's pending parents. A
+  /// child whose count reaches zero is NOT auto-marked ready — communication
+  /// delay happens first.
+  void mark_done(std::size_t i, SimTime t);
   /// A ready node's retry budget is spent: it is never placed again and the
   /// request stays unfinished (terminal).
   void mark_abandoned(std::size_t i);

@@ -11,51 +11,63 @@ Machine::Machine(MachineId id, ResourceVector capacity)
   VMLP_CHECK_MSG(id.valid(), "invalid machine id");
 }
 
+namespace {
+
+template <typename Containers>
+auto lower_bound_id(Containers& containers, ContainerId id) {
+  return std::lower_bound(containers.begin(), containers.end(), id,
+                          [](const Container& c, ContainerId key) { return c.id() < key; });
+}
+
+}  // namespace
+
 Container& Machine::add_container(ContainerId id, InstanceId instance,
                                   const ResourceVector& demand, const ResourceVector& limit) {
-  auto [it, inserted] = containers_.emplace(
-      id, Container(id, instance, id_, demand, limit));
-  VMLP_CHECK_MSG(inserted, "container " << id.value() << " already on machine " << id_.value());
-  return it->second;
+  const auto it = lower_bound_id(containers_, id);
+  VMLP_CHECK_MSG(it == containers_.end() || it->id() != id,
+                 "container " << id.value() << " already on machine " << id_.value());
+  return *containers_.insert(it, Container(id, instance, id_, demand, limit));
 }
 
 void Machine::remove_container(ContainerId id) {
-  VMLP_CHECK_MSG(containers_.erase(id) == 1,
+  const auto it = lower_bound_id(containers_, id);
+  VMLP_CHECK_MSG(it != containers_.end() && it->id() == id,
                  "container " << id.value() << " not on machine " << id_.value());
+  containers_.erase(it);
 }
 
 Container* Machine::find_container(ContainerId id) {
-  auto it = containers_.find(id);
-  return it == containers_.end() ? nullptr : &it->second;
+  const auto it = lower_bound_id(containers_, id);
+  return it == containers_.end() || it->id() != id ? nullptr : &*it;
 }
 
 const Container* Machine::find_container(ContainerId id) const {
-  auto it = containers_.find(id);
-  return it == containers_.end() ? nullptr : &it->second;
+  const auto it = lower_bound_id(containers_, id);
+  return it == containers_.end() || it->id() != id ? nullptr : &*it;
 }
 
 std::vector<ContainerId> Machine::container_ids() const {
   std::vector<ContainerId> ids;
   ids.reserve(containers_.size());
-  for (const auto& [id, _] : containers_) ids.push_back(id);  // map: already id-sorted
+  for (const Container& c : containers_) ids.push_back(c.id());  // already id-sorted
   return ids;
 }
 
 ResourceVector Machine::current_usage() const {
   ResourceVector usage;
-  for (const auto& [_, c] : containers_) usage += c.effective_usage();
+  for (const Container& c : containers_) usage += c.effective_usage();
   return usage.min(capacity_);
 }
 
 ResourceVector Machine::allocated() const {
   ResourceVector total;
-  for (const auto& [_, c] : containers_) total += c.limit();
+  for (const Container& c : containers_) total += c.limit();
   return total;
 }
 
 ResourceVector Machine::demanded() const {
   ResourceVector total;
-  for (const auto& [_, c] : containers_) total += c.demand();
+  for (const Container& c : containers_) total += c.demand();
   return total;
 }
 

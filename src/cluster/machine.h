@@ -3,7 +3,6 @@
 // its committed future.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "cluster/container.h"
@@ -28,7 +27,9 @@ class Machine {
   [[nodiscard]] ReservationLedger& ledger() { return ledger_; }
   [[nodiscard]] const ReservationLedger& ledger() const { return ledger_; }
 
-  /// Place a container. Throws if the id already exists.
+  /// Place a container. Throws if the id already exists. The returned
+  /// reference, like find_container's pointer, is valid until the next
+  /// add_container/remove_container on this machine.
   Container& add_container(ContainerId id, InstanceId instance, const ResourceVector& demand,
                            const ResourceVector& limit);
   /// Remove a finished container. Throws if absent.
@@ -59,10 +60,13 @@ class Machine {
   ResourceVector capacity_;
   bool up_ = true;
   ReservationLedger ledger_;
-  // Ordered by ContainerId so usage/allocation sums accumulate in a stable
+  // Sorted by ContainerId so usage/allocation sums accumulate in a stable
   // order — unordered iteration would make exported metrics depend on
-  // rehash history (see tools/vmlp_lint.py, rule unordered-iter).
-  std::map<ContainerId, Container> containers_;
+  // rehash history (see tools/vmlp_lint.py, rule unordered-iter). A flat
+  // vector: a machine hosts a handful of containers and ids are issued in
+  // increasing order, so adds land at the back and, once the vector has
+  // grown, a placement allocates nothing.
+  std::vector<Container> containers_;
 };
 
 }  // namespace vmlp::cluster

@@ -44,38 +44,27 @@ SelfOrganizing::SelfOrganizing(InterfaceLayer& iface, const VmlpParams& params, 
 
 void SelfOrganizing::Overlay::add(MachineId m, SimTime t0, SimTime t1,
                                   const cluster::ResourceVector& res) {
-  for (auto& [machine, spans] : buckets) {
-    if (machine == m) {
-      spans.push_back(Span{t0, t1, res});
-      return;
-    }
-  }
-  buckets.emplace_back(m, std::vector<Span>{Span{t0, t1, res}});
+  entries.push_back(Entry{m, t0, t1, res});
 }
 
 cluster::ResourceVector SelfOrganizing::Overlay::max_over(MachineId m, SimTime t0,
                                                           SimTime t1) const {
   // Conservative: sum every overlapping tentative reservation (exact maxima
-  // would need sweep-line; plans hold only a handful of entries). Buckets
-  // preserve per-machine insertion order, so the sum accumulates in the same
-  // order as a filtered sweep of a global entry list would.
+  // would need sweep-line; plans hold only a handful of entries), in
+  // insertion order.
   cluster::ResourceVector total;
-  for (const auto& [machine, spans] : buckets) {
-    if (machine != m) continue;
-    for (const auto& s : spans) {
-      if (s.t0 < t1 && t0 < s.t1) total += s.res;
-    }
-    break;
+  for (const Entry& e : entries) {
+    if (e.machine == m && e.t0 < t1 && t0 < e.t1) total += e.res;
   }
   return total;
 }
 
-bool SelfOrganizing::fits_with_overlay(const Overlay& overlay, MachineId m, SimTime t0, SimTime t1,
+bool SelfOrganizing::fits_with_overlay(MachineId m, SimTime t0, SimTime t1,
                                        const cluster::ResourceVector& r,
                                        std::size_t* cover_hint, SimTime* refit_out) const {
   const auto& ledger = iface_->cluster().machine(m).ledger();
-  if (overlay.buckets.empty()) return ledger.fits(t0, t1, r, cover_hint, refit_out);
-  return ledger.fits(t0, t1, r + overlay.max_over(m, t0, t1), cover_hint);
+  if (overlay_.entries.empty()) return ledger.fits(t0, t1, r, cover_hint, refit_out);
+  return ledger.fits(t0, t1, r + overlay_.max_over(m, t0, t1), cover_hint);
 }
 
 SimDuration SelfOrganizing::max_slo() const {
@@ -137,37 +126,35 @@ SelfOrganizing::PlanContext::NodeEst SelfOrganizing::compute_est(const app::Requ
 }
 
 const SelfOrganizing::PlanContext::NodeEst& SelfOrganizing::node_est(
-    PlanContext& ctx, const sched::ActiveRequest& ar, std::size_t node) const {
-  auto& slot = ctx.est[node];
-  if (!slot.has_value()) slot = compute_est(ar.runtime.type(), node, ctx.v_r, ctx.x);
+    const sched::ActiveRequest& ar, std::size_t node) {
+  auto& slot = ctx_.est[node];
+  if (!slot.has_value()) slot = compute_est(ar.runtime.type(), node, ctx_.v_r, ctx_.x);
   return *slot;
 }
 
-SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequest& ar) {
+void SelfOrganizing::reset_context(const sched::ActiveRequest& ar) {
   const auto& type = ar.runtime.type();
-  PlanContext ctx;
-  ctx.v_r = iface_->volatility(type.id());
-  ctx.x = x_percent(ctx.v_r, type.slo(), max_slo());
-  ctx.est.assign(type.size(), std::nullopt);
-  ctx.seed_finish.assign(type.size(), -1);
-  ctx.seed_machine.assign(type.size(), MachineId());
+  ctx_.v_r = iface_->volatility(type.id());
+  ctx_.x = x_percent(ctx_.v_r, type.slo(), max_slo());
+  ctx_.est.assign(type.size(), std::nullopt);
+  ctx_.seed_finish.assign(type.size(), -1);
+  ctx_.seed_machine.assign(type.size(), MachineId());
 
   // Seed predictions for nodes that already progressed (delay-slot entrants).
   const SimTime now = iface_->now();
   for (std::size_t i = 0; i < type.size(); ++i) {
     const auto& rn = ar.runtime.node(i);
     if (rn.state == app::NodeState::kDone) {
-      ctx.seed_finish[i] = rn.finished_at;
+      ctx_.seed_finish[i] = rn.finished_at;
     } else if (rn.state == app::NodeState::kRunning) {
-      ctx.seed_finish[i] = std::max(now + kMsec, rn.started_at + node_est(ctx, ar, i).slack);
+      ctx_.seed_finish[i] = std::max(now + kMsec, rn.started_at + node_est(ar, i).slack);
     } else if (rn.state == app::NodeState::kPlaced) {
-      ctx.seed_finish[i] = std::max(rn.planned_start, now) + ar.nodes[i].reserve_duration;
+      ctx_.seed_finish[i] = std::max(rn.planned_start, now) + ar.nodes[i].reserve_duration;
     } else {
       continue;  // unplaced or abandoned: nothing to seed
     }
-    ctx.seed_machine[i] = rn.machine;
+    ctx_.seed_machine[i] = rn.machine;
   }
-  return ctx;
 }
 
 SimDuration SelfOrganizing::slack_of(RequestId id, std::size_t node) {
@@ -180,15 +167,13 @@ SimDuration SelfOrganizing::slack_of(RequestId id, std::size_t node) {
 }
 
 std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage(
-    const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
-    const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine) {
+    const cluster::ResourceVector& demand, SimDuration slack) {
   obs::Collector* obs = iface_->observer();
   const std::uint64_t hint_hits_before =
       obs != nullptr ? obs->counter_value(obs->ledger().hints_hit) : 0;
   std::size_t probes = 0;
   std::size_t pruned = 0;
-  const auto result = admit_stage_impl(overlay, demand, slack, parent_finish, parent_machine,
-                                       probes, pruned);
+  const auto result = admit_stage_impl(demand, slack, probes, pruned);
   if (obs != nullptr) {
     // Per-stage summaries, not per-probe records: one kAdmitProbe event per
     // stage keeps the ring readable at admission rates of thousands of
@@ -216,9 +201,8 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage(
 }
 
 std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
-    const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
-    const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine,
-    std::size_t& probes_out, std::size_t& pruned_out) {
+    const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes_out,
+    std::size_t& pruned_out) {
   const std::size_t n_machines = iface_->cluster().machine_count();
   const SimTime now = iface_->now();
   const SimDuration step =
@@ -251,13 +235,13 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
 
   auto desired_for = [&](MachineId m) {
     SimTime desired = now;
-    if (parent_finish.empty()) {
+    if (parent_finish_.empty()) {
       // Root stage: ingress hop from the request handler.
       desired = now + iface_->expected_ingress();
     } else {
-      for (std::size_t p = 0; p < parent_finish.size(); ++p) {
+      for (std::size_t p = 0; p < parent_finish_.size(); ++p) {
         desired =
-            std::max(desired, parent_finish[p] + iface_->expected_comm(parent_machine[p], m));
+            std::max(desired, parent_finish_[p] + iface_->expected_comm(parent_machine_[p], m));
       }
       desired = std::max(desired, now);
     }
@@ -304,8 +288,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
       return Probe::kNoFit;
     }
     std::size_t* cover = &probe_cover_[m.value()];
-    if (fits_with_overlay(overlay, m, start, start + slack, demand, cover,
-                          &probe_refit_[m.value()])) {
+    if (fits_with_overlay(m, start, start + slack, demand, cover, &probe_refit_[m.value()])) {
       result = std::make_pair(m, start);
       return Probe::kFit;
     }
@@ -430,41 +413,41 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
   return std::nullopt;
 }
 
-std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
-    sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, PlanContext& ctx) {
+bool SelfOrganizing::try_chain(sched::ActiveRequest& ar, const std::size_t* chain,
+                               std::size_t length) {
   const auto& type = ar.runtime.type();
   const auto& application = iface_->application();
 
-  std::vector<SimTime> pred_finish = ctx.seed_finish;
-  std::vector<MachineId> pred_machine = ctx.seed_machine;
-
-  Overlay overlay;
-  std::vector<NodePlan> plans;
-  for (std::size_t node : chain) {
+  pred_finish_.assign(ctx_.seed_finish.begin(), ctx_.seed_finish.end());
+  pred_machine_.assign(ctx_.seed_machine.begin(), ctx_.seed_machine.end());
+  overlay_.entries.clear();
+  plans_.clear();
+  for (std::size_t i = 0; i < length; ++i) {
+    const std::size_t node = chain[i];
     if (!ar.runtime.node(node).unplaced()) continue;
 
     const auto& req_node = type.nodes()[node];
     const auto& svc = application.service(req_node.service);
-    const PlanContext::NodeEst est = node_est(ctx, ar, node);
+    const PlanContext::NodeEst est = node_est(ar, node);
 
-    std::vector<SimTime> pf;
-    std::vector<MachineId> pm;
+    parent_finish_.clear();
+    parent_machine_.clear();
     for (std::size_t parent : type.dag().parents(node)) {
-      VMLP_CHECK_MSG(pred_finish[parent] >= 0, "chain order violated dependency order");
-      pf.push_back(pred_finish[parent]);
-      pm.push_back(pred_machine[parent]);
+      VMLP_CHECK_MSG(pred_finish_[parent] >= 0, "chain order violated dependency order");
+      parent_finish_.push_back(pred_finish_[parent]);
+      parent_machine_.push_back(pred_machine_[parent]);
     }
 
-    const auto admitted = admit_stage(overlay, svc.demand, est.busy, pf, pm);
-    if (!admitted.has_value()) return std::nullopt;
+    const auto admitted = admit_stage(svc.demand, est.busy);
+    if (!admitted.has_value()) return false;
 
     const auto [machine, start] = *admitted;
-    plans.push_back(NodePlan{node, machine, start, est.busy, est.slack});
-    overlay.add(machine, start, start + est.busy, svc.demand);
-    pred_finish[node] = start + std::max(est.busy, est.slack);
-    pred_machine[node] = machine;
+    plans_.push_back(NodePlan{node, machine, start, est.busy, est.slack});
+    overlay_.add(machine, start, start + est.busy, svc.demand);
+    pred_finish_[node] = start + std::max(est.busy, est.slack);
+    pred_machine_[node] = machine;
   }
-  return plans;
+  return true;
 }
 
 bool SelfOrganizing::organize(RequestId id) {
@@ -473,30 +456,29 @@ bool SelfOrganizing::organize(RequestId id) {
   obs::Collector* obs = iface_->observer();
   if (obs != nullptr) obs->count(obs->mlp().organize_calls);
   const auto& type = ar->runtime.type();
-  PlanContext ctx = make_context(*ar);
+  reset_context(*ar);
 
-  const auto chains = type.dag().chain_choices(params_.max_chain_choices, rng_);
+  type.dag().chain_choices(params_.max_chain_choices, rng_, chains_);
   std::size_t failed = 0;
-  for (const auto& chain : chains) {
+  for (std::size_t c = 0; c < chains_.count; ++c) {
     if (failed >= params_.max_failed_chains) break;  // saturated; retrying costs more than it buys
-    auto plans = try_chain(*ar, chain, ctx);
-    if (!plans.has_value()) {
+    if (!try_chain(*ar, chains_.row(c), chains_.width)) {
       ++failed;
       continue;
     }
-    audit_plan_integrity(*ar, *plans, /*require_full_cover=*/true);
-    for (const auto& plan : *plans) {
+    audit_plan_integrity(*ar, plans_, /*require_full_cover=*/true);
+    for (const auto& plan : plans_) {
       const auto& svc = iface_->application().service(type.nodes()[plan.node].service);
       iface_->place(id, plan.node, plan.machine, svc.demand, plan.start, plan.busy);
     }
     ++plans_committed_;
     if (obs != nullptr) {
       obs->count(obs->mlp().plans_committed);
-      obs->count(obs->mlp().stages_coalesced, plans->size());
+      obs->count(obs->mlp().stages_coalesced, plans_.size());
       obs->event(obs::DecisionKind::kCoalesce, iface_->now(), id.value(),
                  obs::DecisionEvent::kNoIndex, obs::DecisionEvent::kNoIndex,
-                 static_cast<std::int64_t>(plans->size()));
-      for (const auto& plan : *plans) {
+                 static_cast<std::int64_t>(plans_.size()));
+      for (const auto& plan : plans_) {
         // A stage with predecessors was aligned against their predicted
         // finishes (Algorithm 1's Δt alignment); roots only pay the ingress
         // hop.
@@ -520,11 +502,10 @@ bool SelfOrganizing::organize_node(RequestId id, std::size_t node) {
   if (ar == nullptr) return false;
   if (!ar->runtime.node(node).unplaced()) return true;
   const auto& type = ar->runtime.type();
-  PlanContext ctx = make_context(*ar);
-  auto plans = try_chain(*ar, {node}, ctx);
-  if (!plans.has_value() || plans->empty()) return false;
-  audit_plan_integrity(*ar, *plans, /*require_full_cover=*/false);
-  const auto& plan = plans->front();
+  reset_context(*ar);
+  if (!try_chain(*ar, &node, 1) || plans_.empty()) return false;
+  audit_plan_integrity(*ar, plans_, /*require_full_cover=*/false);
+  const auto& plan = plans_.front();
   const auto& svc = iface_->application().service(type.nodes()[plan.node].service);
   iface_->place(id, plan.node, plan.machine, svc.demand, plan.start, plan.busy);
   return true;

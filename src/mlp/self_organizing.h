@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "app/dag.h"
 #include "common/rng.h"
 #include "mlp/interface_layer.h"
 #include "mlp/metrics.h"
@@ -70,17 +71,17 @@ class SelfOrganizing {
   [[nodiscard]] SimTime last_defer_at() const { return last_defer_at_; }
 
  private:
+  /// Tentative reservations of the plan being built, in insertion order. A
+  /// plan holds only a handful of entries, so a flat scan filtered by machine
+  /// beats hashing, and the filtered sum adds in insertion order.
   struct Overlay {
-    struct Span {
+    struct Entry {
+      MachineId machine;
       SimTime t0;
       SimTime t1;
       cluster::ResourceVector res;
     };
-    /// Tentative reservations grouped by machine (first-touch order). A plan
-    /// holds only a handful of entries, so flat buckets beat hashing — and a
-    /// probe for machine m now touches m's spans only instead of sweeping
-    /// every tentative entry of the plan.
-    std::vector<std::pair<MachineId, std::vector<Span>>> buckets;
+    std::vector<Entry> entries;
     void add(MachineId m, SimTime t0, SimTime t1, const cluster::ResourceVector& res);
     [[nodiscard]] cluster::ResourceVector max_over(MachineId m, SimTime t0, SimTime t1) const;
   };
@@ -90,7 +91,7 @@ class SelfOrganizing {
   /// already-progressed nodes are invariant across the up-to
   /// `max_chain_choices` chain attempts of one organize call (profiles only
   /// record at execution time, and nothing commits until a chain succeeds),
-  /// so organize() builds one context and shares it across the attempts.
+  /// so organize() fills one context and shares it across the attempts.
   struct PlanContext {
     struct NodeEst {
       SimDuration slack = 0;
@@ -103,11 +104,11 @@ class SelfOrganizing {
     std::vector<MachineId> seed_machine;
   };
 
-  [[nodiscard]] PlanContext make_context(const sched::ActiveRequest& ar);
+  /// Refill ctx_ for `ar`.
+  void reset_context(const sched::ActiveRequest& ar);
   /// Slack/busy estimate for one node, computed on first use per context.
-  [[nodiscard]] const PlanContext::NodeEst& node_est(PlanContext& ctx,
-                                                     const sched::ActiveRequest& ar,
-                                                     std::size_t node) const;
+  [[nodiscard]] const PlanContext::NodeEst& node_est(const sched::ActiveRequest& ar,
+                                                     std::size_t node);
   [[nodiscard]] PlanContext::NodeEst compute_est(const app::RequestType& type, std::size_t node,
                                                  double v_r, double x) const;
 
@@ -115,12 +116,14 @@ class SelfOrganizing {
   /// (overlay-free) path: a blocking-run bound derived with an
   /// overlay-inflated demand would not be sound for later windows whose
   /// overlay contribution is smaller.
-  [[nodiscard]] bool fits_with_overlay(const Overlay& overlay, MachineId m, SimTime t0, SimTime t1,
+  [[nodiscard]] bool fits_with_overlay(MachineId m, SimTime t0, SimTime t1,
                                        const cluster::ResourceVector& r,
                                        std::size_t* cover_hint = nullptr,
                                        SimTime* refit_out = nullptr) const;
-  /// Find (machine, start) for one stage; first-fit from a rotating cursor at
-  /// the desired start, escalating through the slip window. nullopt = defer.
+  /// Find (machine, start) for one stage against overlay_ and the stage's
+  /// parents in parent_finish_/parent_machine_; first-fit from a rotating
+  /// cursor at the desired start, escalating through the slip window.
+  /// nullopt = defer.
   /// Machines whose capacity can never hold the demand, or whose quietest
   /// ledger level across every start this stage could probe already blocks
   /// it, are skipped after the first touch — the skipped probes still count
@@ -131,18 +134,19 @@ class SelfOrganizing {
   /// order (per-cell cursors, shed on a probeless pass); on a single-cell
   /// topology the arithmetic degenerates bit-exactly to the flat scan.
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage(
-      const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
-      const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine);
+      const cluster::ResourceVector& demand, SimDuration slack);
   /// admit_stage's search loop; the public wrapper only adds telemetry.
   /// `probes_out` / `pruned_out` report the stage's probe budget spend and
   /// how many of those probes were pruned (classified or refit-bound skips).
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage_impl(
-      const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
-      const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine,
-      std::size_t& probes_out, std::size_t& pruned_out);
+      const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes_out,
+      std::size_t& pruned_out);
 
-  [[nodiscard]] std::optional<std::vector<NodePlan>> try_chain(
-      sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, PlanContext& ctx);
+  /// Plan the unplaced nodes of chain[0, length) in order into plans_
+  /// (overlay_ holds their tentative reservations). False = some stage could
+  /// not be admitted; plans_ is then partial and must not be committed.
+  [[nodiscard]] bool try_chain(sched::ActiveRequest& ar, const std::size_t* chain,
+                               std::size_t length);
 
   [[nodiscard]] SimDuration max_slo() const;
   [[nodiscard]] SimDuration ref_stage_time() const;
@@ -158,6 +162,21 @@ class SelfOrganizing {
   std::vector<std::size_t> cell_cursor_;
   /// ranked_cells scratch, reused so routing stays allocation-free.
   std::vector<std::size_t> ranked_cells_;
+  // Planning buffers, refilled by every organize()/organize_node() call so a
+  // steady-state request plans without allocating. organize() is not
+  // re-entrant: place() only books and schedules, it never calls back into
+  // the scheduler.
+  PlanContext ctx_;
+  app::ChainChoices chains_;
+  Overlay overlay_;
+  std::vector<NodePlan> plans_;
+  /// Predicted finish/machine per node for the chain being tried (seeded
+  /// from ctx_, then extended stage by stage).
+  std::vector<SimTime> pred_finish_;
+  std::vector<MachineId> pred_machine_;
+  /// The current stage's parents' predicted finishes and machines.
+  std::vector<SimTime> parent_finish_;
+  std::vector<MachineId> parent_machine_;
   std::size_t plans_committed_ = 0;
   std::size_t plans_deferred_ = 0;
   SimTime last_defer_at_ = -1;

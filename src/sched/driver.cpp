@@ -379,7 +379,8 @@ void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
 
 void SimulationDriver::resolve_startable(ActiveRequest& ar, std::size_t node) {
   DriverNode& dn = ar.nodes[node];
-  if (ar.runtime.type().dag().parents(node).empty()) {
+  const app::Dag& dag = ar.runtime.type().dag();
+  if (dag.parents(node).empty()) {
     // Ingress hop: request handler -> first microservice.
     dn.startable_at = ar.runtime.arrival() + comm_.sample_delay(net::Distance::kSameRack);
     dn.blocking_parent = trace::Span::kNoNode;
@@ -388,7 +389,10 @@ void SimulationDriver::resolve_startable(ActiveRequest& ar, std::size_t node) {
   const MachineId machine = ar.runtime.node(node).machine;
   SimTime startable = 0;
   std::uint32_t blocking = trace::Span::kNoNode;
-  for (const auto& msg : dn.parent_msgs) {
+  // Every parent has finished, so all of the node's message slots are live.
+  const std::size_t first = dag.parent_offset(node);
+  for (std::size_t k = first; k < first + dag.parents(node).size(); ++k) {
+    const ParentMsg& msg = ar.parent_msgs[k];
     const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, machine);
     // Blocking edge: latest message arrival, ties to the lower parent index
     // (the deterministic convention shared with trace/export).
@@ -653,9 +657,15 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   c.exec_time = t - started;
   profiles_.record(req_node.service, ar->runtime.type().id(), c);
 
-  const auto children = ar->runtime.type().dag().children(node);
+  const app::Dag& dag = ar->runtime.type().dag();
+  const std::vector<std::size_t>& children = dag.children(node);
   for (std::size_t child : children) {
-    ar->nodes[child].parent_msgs.push_back(ParentMsg{static_cast<std::uint32_t>(node), machine, t});
+    // The kDone edge already counted this parent off the child's pending
+    // set, so its message takes the last received slot.
+    const std::size_t received =
+        dag.parents(child).size() - ar->runtime.node(child).pending_parents;
+    ar->parent_msgs[dag.parent_offset(child) + received - 1] =
+        ParentMsg{static_cast<std::uint32_t>(node), machine, t};
   }
   // This node was the last unfinished parent of exactly the children whose
   // count the kDone edge just took to zero.

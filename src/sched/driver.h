@@ -136,10 +136,6 @@ struct DriverNode {
   /// Not implied by the state: a placed node may drop it (delay slot).
   bool has_reservation = false;
 
-  /// Completion messages from finished parents. Arena-backed: one
-  /// short-lived vector per DAG node is exactly the small allocation pattern
-  /// the per-shard arena exists for.
-  ArenaVector<ParentMsg> parent_msgs;
   SimTime startable_at = -1;  ///< max(parent finish + comm), known once placed & unblocked
   /// Parent whose message bounded startable_at (latest arrival, ties to the
   /// lower parent index — matching the Zipkin parentId convention).
@@ -174,9 +170,14 @@ struct DriverNode {
 
 struct ActiveRequest {
   ActiveRequest(const app::RequestType& type, RequestId id, SimTime arrival)
-      : runtime(type, id, arrival), nodes(type.size()) {}
+      : runtime(type, id, arrival), nodes(type.size()), parent_msgs(type.dag().edge_count()) {}
   app::RequestRuntime runtime;
   ArenaVector<DriverNode> nodes;
+  /// Completion messages from finished parents, one slot per DAG edge:
+  /// node i's messages fill [dag.parent_offset(i), +parents(i).size()) in
+  /// finish order, the first (parents − pending_parents) slots being live.
+  /// Sized at arrival, so finishing nodes never allocate.
+  ArenaVector<ParentMsg> parent_msgs;
   /// At least one node lost an execution or placement to a failure.
   bool degraded = false;
 };

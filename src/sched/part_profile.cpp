@@ -35,7 +35,7 @@ SimDuration PartProfile::remaining_path_estimate(RequestId id, std::size_t from_
       driver_->now() - cached->second.computed_at < kPathCacheTtl) {
     return cached->second.value;
   }
-  const auto order = type.dag().topo_order();
+  const auto& order = type.dag().topo_order();
   std::vector<SimDuration> longest(type.size(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t n = *it;

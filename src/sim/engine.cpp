@@ -143,9 +143,8 @@ EventHandle Engine::schedule_periodic(SimTime start, SimDuration period, Callbac
   VMLP_CHECK_MSG(period > 0, "periodic period must be positive");
   VMLP_CHECK_MSG(static_cast<bool>(fn), "null periodic callback");
   const std::uint64_t series_id = kPeriodicBit | ++next_series_;
-  auto shared = std::make_shared<Callback>(std::move(fn));
-  periodics_.emplace(series_id,
-                     PeriodicState{period, [shared] { (*shared)(); }, EventHandle{}});
+  periodics_.emplace(series_id, PeriodicState{period, std::make_shared<Callback>(std::move(fn)),
+                                               EventHandle{}});
   arm_periodic(series_id, start);
   return EventHandle{series_id};
 }
@@ -158,9 +157,9 @@ void Engine::arm_periodic(std::uint64_t series_id, SimTime t) {
     if (sit == periodics_.end()) return;
     // Re-arm before running the body so the body may cancel the series.
     const SimTime next = now_ + sit->second.period;
-    std::function<void()> body = sit->second.fn;  // copy: body may cancel and erase state
+    const std::shared_ptr<Callback> body = sit->second.fn;  // body may cancel and erase state
     arm_periodic(series_id, next);
-    body();
+    (*body)();
   });
 }
 

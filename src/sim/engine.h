@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -122,9 +121,10 @@ class Engine {
 
   struct PeriodicState {
     SimDuration period;
-    // std::function (copyable): the occurrence body is copied before each
-    // call so the body may cancel — and thereby destroy — the series state.
-    std::function<void()> fn;
+    // Shared so each occurrence copies only the pointer before the call: the
+    // body may cancel — and thereby destroy — the series state, and the copy
+    // keeps the running body alive until it returns.
+    std::shared_ptr<Callback> fn;
     EventHandle occurrence;  ///< the currently queued occurrence event
   };
 

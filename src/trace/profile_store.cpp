@@ -91,8 +91,8 @@ std::optional<SimDuration> ProfileStore::quantile_of_recent(ServiceTypeId servic
   const std::size_t n = ring->cases.size();
   const std::size_t take = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) * x_percent / 100.0)));
-  std::vector<double> recent;
-  recent.reserve(take);
+  std::vector<double>& recent = recent_;
+  recent.clear();
   for (std::size_t i = n - take; i < n; ++i) {
     recent.push_back(static_cast<double>(ring->cases[(ring->next + i) % n].exec_time));
   }

@@ -106,6 +106,9 @@ class ProfileStore {
 
   std::size_t capacity_;
   std::unordered_map<Key, Ring, KeyHash> rings_;
+  /// quantile_of_recent's selection buffer, reused so a cache refresh does
+  /// not allocate (the store is per driver, like the caches above).
+  mutable std::vector<double> recent_;
 };
 
 }  // namespace vmlp::trace

@@ -261,18 +261,22 @@ TEST_F(RuntimeTest, LifecycleAndUnblocking) {
   RequestRuntime rt(app_.request(type_), RequestId(1), 0);
   rt.mark_placed(0, MachineId(0), InstanceId(0), 10);
   rt.mark_running(0, ContainerId(0), 12);
-  auto unblocked = rt.mark_done(0, 20);
-  EXPECT_EQ(unblocked.size(), 2u);  // 1 and 2
+  rt.mark_done(0, 20);
+  EXPECT_EQ(rt.node(1).pending_parents, 0u);  // 1 and 2 unblocked
+  EXPECT_EQ(rt.node(2).pending_parents, 0u);
+  EXPECT_EQ(rt.node(3).pending_parents, 2u);
 
-  for (std::size_t n : unblocked) rt.mark_ready(n, 21);
+  rt.mark_ready(1, 21);
+  rt.mark_ready(2, 21);
   rt.mark_placed(1, MachineId(1), InstanceId(1), 22);
   rt.mark_running(1, ContainerId(1), 23);
-  EXPECT_TRUE(rt.mark_done(1, 30).empty());  // 3 still blocked by 2
+  rt.mark_done(1, 30);
+  EXPECT_EQ(rt.node(3).pending_parents, 1u);  // 3 still blocked by 2
 
   rt.mark_placed(2, MachineId(2), InstanceId(2), 22);
   rt.mark_running(2, ContainerId(2), 24);
-  unblocked = rt.mark_done(2, 31);
-  EXPECT_EQ(unblocked, std::vector<std::size_t>{3});
+  rt.mark_done(2, 31);
+  EXPECT_EQ(rt.node(3).pending_parents, 0u);
 
   rt.mark_ready(3, 32);
   rt.mark_placed(3, MachineId(0), InstanceId(3), 33);

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace vmlp::cluster {
 namespace {
@@ -94,6 +97,43 @@ TEST(Machine, ContainerIdsSorted) {
   ASSERT_EQ(ids.size(), 3u);
   EXPECT_EQ(ids[0], ContainerId(2));
   EXPECT_EQ(ids[2], ContainerId(9));
+}
+
+TEST(Machine, FlatTableMatchesIdOrderedReference) {
+  // Containers come and go out of id order (a relocated node re-adds an old
+  // id below the newest one); the table must stay id-sorted and every sum
+  // must accumulate in id order — with fractional limits the addition order
+  // shows in the bits.
+  Machine m(MachineId(0), {1e6, 1e6, 1e6});
+  std::map<ContainerId, ResourceVector> reference;
+  Rng rng(17);
+  for (int step = 0; step < 2000; ++step) {
+    const ContainerId id(static_cast<std::uint64_t>(rng.uniform_int(0, 63)));
+    if (reference.count(id) == 0) {
+      const ResourceVector limit{rng.uniform(0.1, 7.0), rng.uniform(0.1, 7.0),
+                                 rng.uniform(0.1, 7.0)};
+      m.add_container(id, InstanceId(static_cast<std::uint64_t>(step)), limit, limit);
+      reference.emplace(id, limit);
+      EXPECT_THROW(m.add_container(id, InstanceId(0), limit, limit), InvariantError);
+    } else {
+      m.remove_container(id);
+      reference.erase(id);
+      EXPECT_THROW(m.remove_container(id), InvariantError);
+      EXPECT_EQ(m.find_container(id), nullptr);
+    }
+    ASSERT_EQ(m.container_count(), reference.size());
+    std::vector<ContainerId> ids;
+    ResourceVector sum;
+    for (const auto& [rid, limit] : reference) {
+      ids.push_back(rid);
+      sum += limit;
+    }
+    ASSERT_EQ(m.container_ids(), ids);
+    const ResourceVector allocated = m.allocated();
+    ASSERT_EQ(allocated.cpu, sum.cpu);
+    ASSERT_EQ(allocated.mem, sum.mem);
+    ASSERT_EQ(allocated.io, sum.io);
+  }
 }
 
 TEST(Cluster, Construction) {

@@ -178,6 +178,22 @@ TEST(Engine, PeriodicCanCancelItself) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Engine, PeriodicBodyOutlivesItsOwnCancel) {
+  // The body cancels its series mid-call and then reads its own captured
+  // state: the engine must keep the running body alive until it returns
+  // (ASan flags a use-after-free otherwise).
+  Engine e;
+  EventHandle h;
+  std::vector<std::size_t> seen;
+  h = e.schedule_periodic(10, 10, [&e, &h, &seen, marks = std::vector<std::size_t>{7, 8, 9}] {
+    e.cancel(h);
+    seen.push_back(marks.size() + marks.back());
+  });
+  e.run_until(100);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{12}));
+  EXPECT_FALSE(e.pending(h));
+}
+
 TEST(Engine, PeriodicBadParamsThrow) {
   Engine e;
   EXPECT_THROW(e.schedule_periodic(0, 0, [] {}), InvariantError);
