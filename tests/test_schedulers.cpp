@@ -2,8 +2,13 @@
 // completion; policy-specific behaviours are asserted where observable.
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "common/rng.h"
+#include "exp/experiment.h"
 #include "loadgen/generator.h"
 #include "sched/common.h"
 #include "sched/cur_sched.h"
@@ -129,6 +134,81 @@ TEST(Baselines, FairSchedDegradesUnderLoadMoreThanPartProfile) {
   const RunResult fair_result = run_scheme(fair);
   const RunResult part_result = run_scheme(part);
   EXPECT_GT(fair_result.p99_latency_us, part_result.p99_latency_us);
+}
+
+// Decision pins for the four Table VI baselines: each scheme's RunResult on a
+// small saturated 10-machine config, failures off and on, hashed (64-bit
+// FNV-1a of the full-precision text of every simulated field). The digests
+// were recorded before the baselines shared one ready-queue harness; a change
+// that is meant to move a baseline decision re-records them and says why.
+exp::ExperimentConfig baseline_pin_config(exp::SchemeKind scheme, bool failures) {
+  exp::ExperimentConfig c;
+  c.scheme = scheme;
+  c.pattern = loadgen::PatternKind::kL2Fluctuating;
+  c.stream = exp::StreamKind::kMixed;
+  c.seed = 2022;
+  c.driver.horizon = 4 * kSec;
+  c.driver.cluster.machine_count = 10;
+  c.driver.interference.enabled = true;
+  c.pattern_params.horizon = c.driver.horizon;
+  c.pattern_params.base_rate = 100.0;
+  c.pattern_params.max_rate = 300.0;
+  c.pattern_params.peak_time = c.driver.horizon * 2 / 5;
+  if (failures) {
+    c.driver.failure.enabled = true;
+    c.driver.failure.crashes_per_second = 0.5;
+    c.driver.failure.recovery_mean = 500 * kMsec;
+    c.driver.failure.container_fault_prob = 0.05;
+    c.driver.failure.invocation_timeout = 800 * kMsec;
+  }
+  return c;
+}
+
+std::string run_result_digest(const RunResult& r) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "arrived=" << r.arrived << " completed=" << r.completed
+     << " unfinished=" << r.unfinished << " qos=" << r.qos_violation_rate
+     << " util=" << r.mean_utilization << " p50=" << r.p50_latency_us
+     << " p90=" << r.p90_latency_us << " p99=" << r.p99_latency_us
+     << " mean=" << r.mean_latency_us << " thr=" << r.throughput_rps
+     << " placements=" << r.placements << " crashes=" << r.machine_crashes
+     << " faults=" << r.container_faults << " timeouts=" << r.invocation_timeouts
+     << " orphaned=" << r.orphaned_nodes << " retries=" << r.retries
+     << " abandoned=" << r.abandoned_requests << " orphan_mean=" << r.orphaned_mean_latency_us
+     << " orphan_p99=" << r.orphaned_p99_latency_us << " goodput=" << r.goodput_rps;
+  std::ostringstream hex;
+  hex << std::hex << std::setw(16) << std::setfill('0') << hash_label(os.str());
+  return hex.str();
+}
+
+struct BaselinePin {
+  exp::SchemeKind scheme;
+  const char* digest;
+};
+
+void expect_pinned(bool failures, const std::vector<BaselinePin>& pins) {
+  for (const BaselinePin& pin : pins) {
+    const auto r = exp::run_experiment(baseline_pin_config(pin.scheme, failures));
+    EXPECT_GT(r.run.placements, 0u) << exp::scheme_name(pin.scheme);
+    if (failures) {
+      EXPECT_GT(r.run.machine_crashes, 0u) << exp::scheme_name(pin.scheme);
+    }
+    EXPECT_EQ(run_result_digest(r.run), pin.digest) << exp::scheme_name(pin.scheme);
+  }
+}
+
+TEST(Baselines, DecisionsMatchPinnedDigests) {
+  expect_pinned(false, {{exp::SchemeKind::kFairSched, "a4fefdeba91215da"},
+                        {exp::SchemeKind::kCurSched, "2180995744b47a46"},
+                        {exp::SchemeKind::kPartProfile, "e5ca2732988c9219"},
+                        {exp::SchemeKind::kFullProfile, "81b0bd49a155cd40"}});
+}
+
+TEST(Baselines, DecisionsUnderFailuresMatchPinnedDigests) {
+  expect_pinned(true, {{exp::SchemeKind::kFairSched, "81290674f1833d27"},
+                       {exp::SchemeKind::kCurSched, "4db80dd688b091ab"},
+                       {exp::SchemeKind::kPartProfile, "e18671a373785135"},
+                       {exp::SchemeKind::kFullProfile, "ab3fde0fcd3653e3"}});
 }
 
 }  // namespace
