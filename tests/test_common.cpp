@@ -1,14 +1,12 @@
-// Common utilities: SimTime formatting, strong ids, Config, logging,
+// Common utilities: SimTime formatting, strong ids, Config, errors,
 // annotated synchronization primitives.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/config.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "common/mutex.h"
 #include "common/types.h"
 
@@ -148,24 +146,6 @@ TEST(Config, KeysSorted) {
 
 TEST(Config, ParseFileMissingThrows) {
   EXPECT_THROW(Config::parse_file("/nonexistent/path/cfg.ini"), ConfigError);
-}
-
-TEST(Log, SinkCapturesMessages) {
-  std::ostringstream sink;
-  Logger::instance().set_sink(&sink);
-  Logger::instance().set_level(LogLevel::kInfo);
-  VMLP_INFO("hello " << 1);
-  VMLP_DEBUG("suppressed");
-  Logger::instance().set_sink(nullptr);
-  Logger::instance().set_level(LogLevel::kWarn);
-  const std::string out = sink.str();
-  EXPECT_NE(out.find("hello 1"), std::string::npos);
-  EXPECT_EQ(out.find("suppressed"), std::string::npos);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(log_level_name(LogLevel::kError), "ERROR");
 }
 
 TEST(Mutex, GuardedCounterIsRaceFree) {

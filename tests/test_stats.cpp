@@ -1,4 +1,4 @@
-// Statistics substrate: Welford summaries, quantiles, histograms, series, QoS.
+// Statistics substrate: Welford summaries, quantiles, 2-D histograms, series, QoS.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "stats/histogram.h"
-#include "stats/p2_quantile.h"
 #include "stats/percentile.h"
 #include "stats/qos.h"
 #include "stats/summary.h"
@@ -154,31 +153,6 @@ TEST(SampleSet, MergeCombines) {
   EXPECT_DOUBLE_EQ(a.max(), 4.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-5.0);   // clamps to bin 0
-  h.add(0.5);    // bin 0
-  h.add(3.0);    // bin 1
-  h.add(10.0);   // clamps to bin 4
-  h.add(100.0);  // clamps to bin 4
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 5.0);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
-TEST(Histogram, BadConstructionThrows) {
-  EXPECT_THROW(Histogram(5.0, 1.0, 3), InvariantError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvariantError);
-}
-
 TEST(Histogram2D, RowFractions) {
   Histogram2D h(2, 0.0, 10.0, 5);
   h.add(0, 1.0);
@@ -255,72 +229,6 @@ TEST(TimeSeries, BucketStarts) {
   TimeSeries ts(250 * kMsec, kSec);
   EXPECT_EQ(ts.bucket_count(), 4u);
   EXPECT_EQ(ts.bucket_start(2), 500 * kMsec);
-}
-
-// P² streaming estimates vs exact order statistics (satellite coverage): the
-// estimator must stay within a few percent of SampleSet::quantile on light-
-// and heavy-tailed streams at the quantiles the monitors actually track.
-void check_p2_against_exact(const char* label, const std::vector<double>& xs, double q,
-                            double rel_tol) {
-  P2Quantile p2(q);
-  SampleSet exact;
-  for (double x : xs) {
-    p2.add(x);
-    exact.add(x);
-  }
-  const double want = exact.quantile(q);
-  const double got = p2.value();
-  ASSERT_GT(want, 0.0) << label;
-  EXPECT_NEAR(got, want, rel_tol * want) << label << " q=" << q;
-}
-
-TEST(P2Quantile, TracksExactOnUniformStream) {
-  Rng rng(2022);
-  std::vector<double> xs(20000);
-  for (double& x : xs) x = rng.uniform(10.0, 110.0);
-  for (double q : {0.5, 0.9, 0.99}) check_p2_against_exact("uniform", xs, q, 0.02);
-}
-
-TEST(P2Quantile, TracksExactOnLognormalStream) {
-  Rng rng(2022);
-  std::vector<double> xs(20000);
-  for (double& x : xs) x = rng.lognormal(1.0, 0.75);
-  for (double q : {0.5, 0.9, 0.99}) check_p2_against_exact("lognormal", xs, q, 0.05);
-}
-
-TEST(P2Quantile, TracksExactOnParetoStream) {
-  Rng rng(2022);
-  std::vector<double> xs(20000);
-  // alpha = 2.5: heavy tail but finite variance, the regime P² is rated for.
-  for (double& x : xs) x = rng.pareto(1.0, 2.5);
-  check_p2_against_exact("pareto", xs, 0.5, 0.05);
-  check_p2_against_exact("pareto", xs, 0.9, 0.10);
-  check_p2_against_exact("pareto", xs, 0.99, 0.25);
-}
-
-TEST(P2Quantile, FewerThanFiveSamplesIsExact) {
-  // The pre-initialization path must agree with SampleSet's interpolation
-  // bit-for-bit: both use pos = q * (n - 1) with linear interpolation.
-  const std::vector<double> xs = {42.0, 7.0, 19.0, 88.0};
-  for (std::size_t n = 1; n <= xs.size(); ++n) {
-    for (double q : {0.5, 0.9, 0.99}) {
-      P2Quantile p2(q);
-      SampleSet exact;
-      for (std::size_t i = 0; i < n; ++i) {
-        p2.add(xs[i]);
-        exact.add(xs[i]);
-      }
-      EXPECT_EQ(p2.count(), n);
-      EXPECT_DOUBLE_EQ(p2.value(), exact.quantile(q)) << "n=" << n << " q=" << q;
-    }
-  }
-}
-
-TEST(P2Quantile, EmptyIsNanAndBadQThrows) {
-  P2Quantile p2(0.5);
-  EXPECT_TRUE(std::isnan(p2.value()));
-  EXPECT_THROW(P2Quantile(0.0), InvariantError);
-  EXPECT_THROW(P2Quantile(1.0), InvariantError);
 }
 
 TEST(Qos, ViolationAccounting) {

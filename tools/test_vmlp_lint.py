@@ -244,6 +244,37 @@ class PhaseCoverageRuleTest(unittest.TestCase):
             self.assertEqual(vmlp_lint.check_phase_coverage(Path(tmp)), [])
 
 
+class OrphanHeaderRuleTest(unittest.TestCase):
+    @staticmethod
+    def run_rule(files: dict[str, str]) -> list[str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for rel, text in files.items():
+                path = root / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+            return [f"{f.rule}:{f.path.relative_to(root).as_posix()}"
+                    for f in vmlp_lint.check_orphan_headers(root)]
+
+    def test_header_with_program_includer_passes(self):
+        files = {
+            "src/stats/summary.h": "#pragma once\n",
+            "src/stats/summary.cpp": '#include "stats/summary.h"\n',
+            "bench/fig.cpp": '#include "stats/summary.h"\n',
+        }
+        self.assertEqual(self.run_rule(files), [])
+
+    def test_header_used_only_by_its_pair_and_tests_flagged(self):
+        files = {
+            "src/common/log.h": "#pragma once\n",
+            "src/common/log.cpp": '#include "common/log.h"\n',
+            "tests/test_common.cpp": '#include "common/log.h"\n',
+            "tools/test_tool.cpp": '#include "common/log.h"\n',
+            "src/sim/engine.cpp": '// #include "common/log.h" is commented out\n',
+        }
+        self.assertEqual(self.run_rule(files), ["orphan-header:src/common/log.h"])
+
+
 class SelfCheckTest(unittest.TestCase):
     def test_repo_sources_are_clean(self):
         root = Path(__file__).resolve().parent.parent

@@ -59,6 +59,12 @@ into float accumulation, event scheduling, or export sinks, so the
                      to the taxonomy but missing from the p99 blame table
                      would silently vanish from the operator-facing view.
 
+  [orphan-header]    Every src/**/*.h must be #included by some non-test
+                     source outside its own .h/.cpp pair, in src/, bench/,
+                     examples/, tools/ or perfbench/. A header only its own
+                     .cpp and its tests include is a module no program calls:
+                     delete it with its tests.
+
 Usage:
   tools/vmlp_lint.py [--root DIR] [files...]
 With no file arguments, scans src/ and tools/*.cpp under the root.
@@ -447,6 +453,47 @@ def check_phase_coverage(root: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# rule: orphan-header (repo-level: src/**/*.h vs every program's includes)
+
+ORPHAN_INCLUDERS = ("src", "bench", "examples", "tools", "perfbench")
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+
+
+def is_test_source(rel: Path) -> bool:
+    return "tests" in rel.parts or rel.name.startswith("test_")
+
+
+def check_orphan_headers(root: Path) -> list[Finding]:
+    """Every src/ header must have an includer outside its own .h/.cpp pair
+    among the non-test sources of the program directories."""
+    src = root / "src"
+    if not src.is_dir():
+        return []
+    includers: dict[str, set[Path]] = {}
+    for top in ORPHAN_INCLUDERS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".h", ".cpp") or is_test_source(path.relative_to(root)):
+                continue
+            for included in QUOTED_INCLUDE.findall(path.read_text(encoding="utf-8")):
+                includers.setdefault(included, set()).add(path)
+    findings: list[Finding] = []
+    for header in sorted(src.rglob("*.h")):
+        rel = header.relative_to(src).as_posix()
+        if includers.get(rel, set()) - {header, header.with_suffix(".cpp")}:
+            continue
+        findings.append(
+            Finding(
+                header,
+                1,
+                "orphan-header",
+                f"{rel} is included only by its own .cpp or by tests — no program "
+                "calls this module; delete it with its tests",
+            )
+        )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # rule: simd-isolation
 
 SIMD_INCLUDE = re.compile(r'#\s*include\s*<(\w*intrin\.h|arm_neon\.h|arm_sve\.h)>')
@@ -539,6 +586,7 @@ def main(argv: list[str]) -> int:
             return 2
         all_findings.extend(lint_file(path, metric_registry))
     all_findings.extend(check_phase_coverage(root))
+    all_findings.extend(check_orphan_headers(root))
 
     for f in all_findings:
         try:
