@@ -38,14 +38,10 @@ struct VmlpParams {
   bool volatility_aware = true;   ///< false: every request uses the mean Δt
   bool enable_delay_slot = true;
   bool enable_resource_stretch = true;
-  /// Cell router: admit_stage probes machines cell by cell in the cluster
-  /// topology's ranked order (least-loaded first), shedding to the next cell
-  /// when one has no probeable machine, instead of scanning the flat machine
-  /// range. On a single-cell topology the router arithmetic degenerates to
-  /// the flat scan bit-exactly; false = the pre-topology reference loop used
-  /// by determinism_check claim 7.
-  bool cell_router = true;
   /// Cells visited per admission stage before giving up (the shed budget).
+  /// admit_stage probes machines cell by cell in the cluster topology's
+  /// ranked order (least-loaded first), shedding to the next cell when one
+  /// has no probeable machine.
   /// Bounds admission work by O(router_max_cells × cell size) instead of
   /// O(cluster size); ignored when the topology has one cell.
   std::size_t router_max_cells = 2;

@@ -7,6 +7,7 @@
 #include "common/audit.h"
 #include "common/error.h"
 #include "obs/collector.h"
+#include "sched/common.h"
 
 namespace vmlp::mlp {
 
@@ -97,12 +98,9 @@ double SelfOrganizing::reorder_ratio_of(RequestId id) {
   const SimDuration waited = iface_->now() - ar->runtime.arrival();
 
   SimDuration dt0 = kTimeInfinity;
-  for (const auto& node : type.nodes()) {
-    const auto mean = iface_->profiles().mean_exec(node.service, type.id());
-    const SimDuration est = mean.value_or(static_cast<SimDuration>(std::llround(
-        static_cast<double>(iface_->application().service(node.service).nominal_time) *
-        node.time_scale)));
-    dt0 = std::min(dt0, std::max<SimDuration>(1, est));
+  for (std::size_t node = 0; node < type.size(); ++node) {
+    dt0 = std::min(dt0, sched::estimate_mean_exec(iface_->profiles(), iface_->application(),
+                                                  type, node));
   }
   return reorder_ratio(v_r, type.slo(), waited, dt0, ref_stage_time());
 }
@@ -201,8 +199,8 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage(
 }
 
 std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
-    const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes_out,
-    std::size_t& pruned_out) {
+    const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes,
+    std::size_t& pruned) {
   const std::size_t n_machines = iface_->cluster().machine_count();
   const SimTime now = iface_->now();
   const SimDuration step =
@@ -218,7 +216,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
   // O(1) stage setup: entries are invalidated by bumping the stage epoch,
   // never by clearing the vectors (see the probe_epoch_ declaration — an
   // eager O(machines) assign() per stage is the latent cost that re-couples
-  // placements/sec to cluster size). probe_one initializes a machine's
+  // placements/sec to cluster size). The scan initializes a machine's
   // state/refit on first touch of the stage.
   ++stage_epoch_;
   if (probe_state_.size() < n_machines) {
@@ -248,113 +246,8 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     return desired;
   };
 
-  std::size_t& probes = probes_out;
-  std::size_t& pruned = pruned_out;
-
-  // One (machine, slip step) probe — the body shared verbatim by the flat
-  // reference scan and the cell-router scan below, so the two orderings can
-  // never drift in per-probe behaviour. kFit leaves the accepted pair in
-  // `result` (cursor bookkeeping is the caller's: flat and cell cursors
-  // update differently); kNoFit may mark the pass probeable; kBudget means
-  // the stage's probe budget is spent.
-  enum class Probe { kFit, kNoFit, kBudget };
-  std::optional<std::pair<MachineId, SimTime>> result;
-  auto probe_one = [&](MachineId m, std::size_t k, bool& any_probeable) {
-    // Pruned probes still consume budget: which probe exhausts
-    // max_admit_probes must not depend on pruning.
-    if (++probes > params_.max_admit_probes) return Probe::kBudget;
-    if (!iface_->cluster().machine(m).up()) return Probe::kNoFit;  // crash window
-    if (probe_epoch_[m.value()] != stage_epoch_) {
-      // First touch this stage: lazily reset what an eager per-stage clear
-      // would write for every machine.
-      probe_epoch_[m.value()] = stage_epoch_;
-      probe_state_[m.value()] = 0;
-      probe_refit_[m.value()] = std::numeric_limits<SimTime>::min();
-    }
-    std::int8_t& state = probe_state_[m.value()];
-    if (state == 2) {
-      ++pruned;
-      return Probe::kNoFit;  // counted, and provably would have failed
-    }
-    if (state == 0) probe_desired_[m.value()] = desired_for(m);
-    const SimTime desired = probe_desired_[m.value()];
-    const SimTime start = desired + static_cast<SimDuration>(k) * step;
-    if (start < probe_refit_[m.value()]) {
-      // The window still overlaps the blocking run an earlier probe of
-      // this machine hit, so it provably fails (the run's bound holds for
-      // every later-starting window of the same demand and duration).
-      any_probeable = true;  // later slip steps may clear the run
-      ++pruned;
-      return Probe::kNoFit;
-    }
-    std::size_t* cover = &probe_cover_[m.value()];
-    if (fits_with_overlay(m, start, start + slack, demand, cover, &probe_refit_[m.value()])) {
-      result = std::make_pair(m, start);
-      return Probe::kFit;
-    }
-    if (state == 0) {
-      // First failed probe on this machine: classify it so the slip loop
-      // does not keep paying for probes that provably fail. Classification
-      // is deferred until a failure because a machine whose first probe
-      // succeeds never needs it.
-      const auto& machine = iface_->cluster().machine(m);
-      if (!demand.fits_within(machine.capacity())) {
-        // The bare capacity can never hold the demand; any non-negative
-        // ledger level or overlay only raises the tested usage.
-        state = 2;
-      } else {
-        // Every start this stage can probe lies in
-        // [desired, desired + steps·step], so every probed window is a
-        // subset of that span plus the slack tail. If even the quietest
-        // level across the whole span cannot host the demand, each
-        // window's max certainly cannot (max ≥ span min, and the exact
-        // test adds the same non-negative demand+overlay on top).
-        // span_could_fit early-exits the span fold on the usual "machine
-        // stays probeable" verdict.
-        const SimTime span_end =
-            desired + static_cast<SimDuration>(params_.plan_search_steps) * step + slack;
-        // The span starts at `desired` == this k=0 probe's start, so the
-        // hint the failed probe just stored is already the span's
-        // covering index.
-        state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
-      }
-    }
-    if (state != 2) any_probeable = true;
-    return Probe::kNoFit;
-  };
-
-  if (!params_.cell_router) {
-    // Pre-topology flat scan — determinism_check claim 7's reference mode.
-    for (std::size_t k = 0; k <= params_.plan_search_steps; ++k) {
-      // Tracks whether this pass met any machine that could still admit. Once
-      // every up machine is classified 2 (guaranteed fail), the remaining slip
-      // passes only tick the probe counter — no probe can succeed, no cursor
-      // move, and the stage ends in std::nullopt either way — so the scan
-      // returns that verdict immediately. Machines cannot change state while a
-      // stage runs (the simulation does not advance inside admit_stage).
-      bool any_probeable = false;
-      for (std::size_t j = 0; j < n_machines; ++j) {
-        const MachineId m(static_cast<std::uint32_t>((cursor_ + j) % n_machines));
-        switch (probe_one(m, k, any_probeable)) {
-          case Probe::kBudget:
-            return std::nullopt;
-          case Probe::kFit:
-            cursor_ = (m.value() + 1) % n_machines;
-            return result;
-          case Probe::kNoFit:
-            break;
-        }
-      }
-      if (!any_probeable) return std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  // Cell-router scan: cells in ranked order (least loaded first), the full
-  // slip window inside one cell before shedding to the next. On a
-  // single-cell topology this is bit-exact to the flat scan: begin = 0,
-  // size = n_machines, and cell_cursor_[0] traces cursor_'s trajectory —
-  // determinism_check claim 7. The work bound per stage is
+  // Cells in ranked order (least loaded first), the full slip window inside
+  // one cell before shedding to the next. The work bound per stage is
   // O(router_max_cells × cell size), independent of cluster size.
   const auto& clstr = iface_->cluster();
   const cluster::CellTopology& cells = clstr.cells();
@@ -370,13 +263,14 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     const std::size_t begin = cells.cell_begin(cell);
     const std::size_t size = cells.cell_size(cell);
     std::size_t& cursor = cell_cursor_[cell];
-    // Headroom-index jump (multi-cell only — a single cell must stay
-    // bit-exact to the flat scan): rotate the scan base to the first machine
-    // the per-32-machine summary guarantees can host the demand at every
-    // time (a vectorized find-first over the cell's cached free fractions —
-    // see CellTopology::first_fit_candidate). Typically its j = 0 probe
-    // admits immediately; if a plan overlay blocks it, the scan continues
-    // from there — same coverage, rotated order, still a pure function of
+    // Headroom-index jump (multi-cell only — a single cell keeps its
+    // rotating first-fit trajectory, which determinism_check claim 5 pins):
+    // rotate the scan base to the first machine the per-32-machine summary
+    // guarantees can host the demand at every time (a vectorized find-first
+    // over the cell's cached free fractions — see
+    // CellTopology::first_fit_candidate). Typically its j = 0 probe admits
+    // immediately; if a plan overlay blocks it, the scan continues from
+    // there — same coverage, rotated order, still a pure function of
     // simulation state.
     std::size_t base = cursor;
     if (n_cells > 1) {
@@ -389,22 +283,81 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         if (obs != nullptr) obs->count(obs->topology().index_jumps);
       }
     }
-    bool shed = false;  // cell has no probeable machine left
-    for (std::size_t k = 0; k <= params_.plan_search_steps && !shed; ++k) {
-      bool any_probeable = false;  // see the flat scan's comment
+    // Each slip pass tracks whether it met any machine that could still
+    // admit. Once every up machine is classified 2 (guaranteed fail), the
+    // remaining passes only tick the probe counter — no probe can succeed
+    // and no cursor moves — so the cell is shed at once. Machines cannot
+    // change state while a stage runs (the simulation does not advance
+    // inside admit_stage).
+    bool any_probeable = true;
+    for (std::size_t k = 0; k <= params_.plan_search_steps && any_probeable; ++k) {
+      any_probeable = false;
       for (std::size_t j = 0; j < size; ++j) {
         const MachineId m(static_cast<std::uint32_t>(begin + (base + j) % size));
-        switch (probe_one(m, k, any_probeable)) {
-          case Probe::kBudget:
-            return std::nullopt;
-          case Probe::kFit:
-            cursor = (m.value() - begin + 1) % size;
-            return result;
-          case Probe::kNoFit:
-            break;
+        // Pruned probes still consume budget: which probe exhausts
+        // max_admit_probes must not depend on pruning.
+        if (++probes > params_.max_admit_probes) return std::nullopt;
+        if (!clstr.machine(m).up()) continue;  // crash window
+        if (probe_epoch_[m.value()] != stage_epoch_) {
+          // First touch this stage: lazily reset what an eager per-stage
+          // clear would write for every machine.
+          probe_epoch_[m.value()] = stage_epoch_;
+          probe_state_[m.value()] = 0;
+          probe_refit_[m.value()] = std::numeric_limits<SimTime>::min();
         }
+        std::int8_t& state = probe_state_[m.value()];
+        if (state == 2) {
+          ++pruned;
+          continue;  // counted, and provably would have failed
+        }
+        if (state == 0) probe_desired_[m.value()] = desired_for(m);
+        const SimTime desired = probe_desired_[m.value()];
+        const SimTime start = desired + static_cast<SimDuration>(k) * step;
+        if (start < probe_refit_[m.value()]) {
+          // The window still overlaps the blocking run an earlier probe of
+          // this machine hit, so it provably fails (the run's bound holds
+          // for every later-starting window of the same demand and
+          // duration).
+          any_probeable = true;  // later slip steps may clear the run
+          ++pruned;
+          continue;
+        }
+        std::size_t* cover = &probe_cover_[m.value()];
+        if (fits_with_overlay(m, start, start + slack, demand, cover,
+                              &probe_refit_[m.value()])) {
+          cursor = (m.value() - begin + 1) % size;
+          return std::make_pair(m, start);
+        }
+        if (state == 0) {
+          // First failed probe on this machine: classify it so the slip
+          // loop does not keep paying for probes that provably fail.
+          // Classification is deferred until a failure because a machine
+          // whose first probe succeeds never needs it.
+          const auto& machine = clstr.machine(m);
+          if (!demand.fits_within(machine.capacity())) {
+            // The bare capacity can never hold the demand; any
+            // non-negative ledger level or overlay only raises the tested
+            // usage.
+            state = 2;
+          } else {
+            // Every start this stage can probe lies in
+            // [desired, desired + steps·step], so every probed window is a
+            // subset of that span plus the slack tail. If even the quietest
+            // level across the whole span cannot host the demand, each
+            // window's max certainly cannot (max ≥ span min, and the exact
+            // test adds the same non-negative demand+overlay on top).
+            // span_could_fit early-exits the span fold on the usual
+            // "machine stays probeable" verdict.
+            const SimTime span_end =
+                desired + static_cast<SimDuration>(params_.plan_search_steps) * step + slack;
+            // The span starts at `desired` == this k=0 probe's start, so
+            // the hint the failed probe just stored is already the span's
+            // covering index.
+            state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
+          }
+        }
+        if (state != 2) any_probeable = true;
       }
-      if (!any_probeable) shed = true;
     }
     if (obs != nullptr && n_cells > 1 && ci + 1 < visit) {
       obs->count(obs->topology().cells_shed);

@@ -121,8 +121,10 @@ class SelfOrganizing {
                                        std::size_t* cover_hint = nullptr,
                                        SimTime* refit_out = nullptr) const;
   /// Find (machine, start) for one stage against overlay_ and the stage's
-  /// parents in parent_finish_/parent_machine_; first-fit from a rotating
-  /// cursor at the desired start, escalating through the slip window.
+  /// parents in parent_finish_/parent_machine_. The scan goes cell by cell
+  /// in the topology's ranked order; inside a cell it is first-fit from the
+  /// cell's rotating cursor at the desired start, escalating through the
+  /// slip window, and it sheds to the next cell after a probeless pass.
   /// nullopt = defer.
   /// Machines whose capacity can never hold the demand, or whose quietest
   /// ledger level across every start this stage could probe already blocks
@@ -130,17 +132,14 @@ class SelfOrganizing {
   /// against `max_admit_probes` and are provably ones that would have
   /// failed, so the accepted (machine, start) and the cursor trajectory are
   /// identical to the exhaustive search.
-  /// With `cell_router`, the scan goes cell by cell in the topology's ranked
-  /// order (per-cell cursors, shed on a probeless pass); on a single-cell
-  /// topology the arithmetic degenerates bit-exactly to the flat scan.
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage(
       const cluster::ResourceVector& demand, SimDuration slack);
   /// admit_stage's search loop; the public wrapper only adds telemetry.
-  /// `probes_out` / `pruned_out` report the stage's probe budget spend and
-  /// how many of those probes were pruned (classified or refit-bound skips).
+  /// `probes` / `pruned` report the stage's probe budget spend and how many
+  /// of those probes were pruned (classified or refit-bound skips).
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage_impl(
-      const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes_out,
-      std::size_t& pruned_out);
+      const cluster::ResourceVector& demand, SimDuration slack, std::size_t& probes,
+      std::size_t& pruned);
 
   /// Plan the unplaced nodes of chain[0, length) in order into plans_
   /// (overlay_ holds their tentative reservations). False = some stage could
@@ -154,11 +153,7 @@ class SelfOrganizing {
   InterfaceLayer* iface_;
   VmlpParams params_;
   Rng rng_;
-  /// Rotating first-fit start index (cell_router off: flat machine index).
-  std::size_t cursor_ = 0;
-  /// Per-cell rotating cursors (cell-local offsets) for the router path. On
-  /// a single-cell topology cell_cursor_[0] traces exactly the trajectory
-  /// cursor_ would — the claim-7 byte-identity hinge.
+  /// Per-cell rotating first-fit cursors (cell-local offsets).
   std::vector<std::size_t> cell_cursor_;
   /// ranked_cells scratch, reused so routing stays allocation-free.
   std::vector<std::size_t> ranked_cells_;
@@ -192,7 +187,7 @@ class SelfOrganizing {
   // ~9 KB of writes per stage at 1k and ~90 KB at 10k, which silently
   // re-couples per-placement cost to cluster size after the cell router
   // decoupled the scan itself. A machine's entry is live only when its
-  // epoch matches the current stage's; probe_one initializes it on first
+  // epoch matches the current stage's; the scan initializes it on first
   // touch, so stage setup is O(1) and stage cost is O(machines probed).
   std::vector<std::int8_t> probe_state_;
   std::vector<SimTime> probe_desired_;

@@ -1,7 +1,9 @@
 #include "sched/common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace vmlp::sched {
@@ -36,12 +38,62 @@ MachineId scan_ranked_cells(const cluster::Cluster& clustr, PerCell&& per_cell) 
 
 }  // namespace
 
-SimDuration estimate_mean_exec(SimulationDriver& driver, const app::RequestType& type,
+void ReadyQueueScheduler::on_request_arrival(RequestId id) {
+  ActiveRequest* ar = driver_->find_request(id);
+  if (ar == nullptr) return;
+  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
+  drain();
+}
+
+void ReadyQueueScheduler::on_node_unblocked(RequestId id, std::size_t node) {
+  ready_.emplace_back(id, node);
+  drain();
+}
+
+void ReadyQueueScheduler::on_tick() { drain(); }
+
+void AdmissionScheduler::drain() {
+  // Decorate-sort: each entry's priority is computed once.
+  std::vector<std::tuple<SimDuration, RequestId, std::size_t>> keyed;
+  keyed.reserve(ready_.size());
+  for (const auto& [id, node] : ready_) {
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr) continue;
+    keyed.emplace_back(priority(*ar, node), id, node);
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return std::get<0>(a) < std::get<0>(b); });
+
+  // place() never calls back into drain(), so ready_ can take the deferrals.
+  ready_.clear();
+  std::size_t consecutive_failures = 0;
+  for (const auto& [key, id, node] : keyed) {
+    (void)key;
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || !ar->runtime.node(node).unplaced()) continue;
+    const Window w = window(*ar, node);
+    MachineId machine;
+    if (consecutive_failures < kSaturationFailures) {
+      machine = pick_(driver_->cluster(), driver_->now(), w.duration, w.limit);
+    }
+    if (machine.valid()) {
+      consecutive_failures = 0;
+      const auto& svc = driver_->application().service(ar->runtime.type().nodes()[node].service);
+      driver_->place(id, node, machine, svc.demand, driver_->now(), w.duration);
+    } else {
+      ++consecutive_failures;
+      ready_.emplace_back(id, node);  // admission control: wait for capacity
+    }
+  }
+}
+
+SimDuration estimate_mean_exec(const trace::ProfileStore& profiles,
+                               const app::Application& application, const app::RequestType& type,
                                std::size_t node) {
   const auto& req_node = type.nodes()[node];
-  const auto est = driver.profiles().mean_exec(req_node.service, type.id());
+  const auto est = profiles.mean_exec(req_node.service, type.id());
   if (est.has_value()) return std::max<SimDuration>(1, *est);
-  const auto& svc = driver.application().service(req_node.service);
+  const auto& svc = application.service(req_node.service);
   return std::max<SimDuration>(
       1, static_cast<SimDuration>(std::llround(static_cast<double>(svc.nominal_time) *
                                                req_node.time_scale)));

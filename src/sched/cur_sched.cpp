@@ -1,23 +1,8 @@
 #include "sched/cur_sched.h"
 
-#include "sched/common.h"
 #include "sched/driver.h"
 
 namespace vmlp::sched {
-
-void CurSched::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
-  if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
-  drain();
-}
-
-void CurSched::on_node_unblocked(RequestId id, std::size_t node) {
-  ready_.emplace_back(id, node);
-  drain();
-}
-
-void CurSched::on_tick() { drain(); }
 
 void CurSched::drain() {
   while (!ready_.empty()) {
@@ -34,7 +19,8 @@ void CurSched::drain() {
     }
     const auto& req_node = ar->runtime.type().nodes()[node];
     const auto& svc = driver_->application().service(req_node.service);
-    const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);
+    const SimDuration est = estimate_mean_exec(driver_->profiles(), driver_->application(),
+                                               ar->runtime.type(), node);
     driver_->place(id, node, machine, svc.demand, driver_->now(), est);
   }
 }

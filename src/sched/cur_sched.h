@@ -6,23 +6,16 @@
 // in-flight chains converge on the same "idle" machine.
 #pragma once
 
-#include <deque>
-#include <utility>
-
-#include "sched/scheduler.h"
+#include "sched/common.h"
 
 namespace vmlp::sched {
 
-class CurSched final : public IScheduler {
+class CurSched final : public ReadyQueueScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "CurSched"; }
-  void on_request_arrival(RequestId id) override;
-  void on_node_unblocked(RequestId id, std::size_t node) override;
-  void on_tick() override;
 
  private:
-  void drain();
-  std::deque<std::pair<RequestId, std::size_t>> ready_;
+  void drain() override;
 };
 
 }  // namespace vmlp::sched

@@ -2,24 +2,9 @@
 
 #include <algorithm>
 
-#include "sched/common.h"
 #include "sched/driver.h"
 
 namespace vmlp::sched {
-
-void FairSched::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
-  if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
-  drain();
-}
-
-void FairSched::on_node_unblocked(RequestId id, std::size_t node) {
-  ready_.emplace_back(id, node);
-  drain();
-}
-
-void FairSched::on_tick() { drain(); }
 
 void FairSched::drain() {
   while (!ready_.empty()) {
@@ -42,7 +27,8 @@ void FairSched::drain() {
     const double occupants = static_cast<double>(m.container_count() + 1);
     const cluster::ResourceVector slice =
         m.capacity() * (1.0 / std::min(occupants, static_cast<double>(kSlotsPerMachine) * 2.0));
-    const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);
+    const SimDuration est = estimate_mean_exec(driver_->profiles(), driver_->application(),
+                                               ar->runtime.type(), node);
     driver_->place(id, node, machine, slice, driver_->now(), est);
   }
 }

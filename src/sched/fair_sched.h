@@ -7,25 +7,18 @@
 // resulting contention.
 #pragma once
 
-#include <deque>
-#include <utility>
-
-#include "sched/scheduler.h"
+#include "sched/common.h"
 
 namespace vmlp::sched {
 
-class FairSched final : public IScheduler {
+class FairSched final : public ReadyQueueScheduler {
  public:
   static constexpr std::size_t kSlotsPerMachine = 8;
 
   [[nodiscard]] std::string name() const override { return "FairSched"; }
-  void on_request_arrival(RequestId id) override;
-  void on_node_unblocked(RequestId id, std::size_t node) override;
-  void on_tick() override;
 
  private:
-  void drain();
-  std::deque<std::pair<RequestId, std::size_t>> ready_;
+  void drain() override;
 };
 
 }  // namespace vmlp::sched

@@ -12,20 +12,17 @@
 #pragma once
 
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "cluster/resources.h"
-#include "sched/scheduler.h"
+#include "sched/common.h"
 
 namespace vmlp::sched {
 
-class FullProfile final : public IScheduler {
+class FullProfile final : public AdmissionScheduler {
  public:
+  FullProfile() : AdmissionScheduler(&machine_best_fit) {}
+
   [[nodiscard]] std::string name() const override { return "FullProfile"; }
-  void on_request_arrival(RequestId id) override;
-  void on_node_unblocked(RequestId id, std::size_t node) override;
-  void on_tick() override;
 
  private:
   struct OverallProfile {
@@ -34,12 +31,12 @@ class FullProfile final : public IScheduler {
     SimDuration avg_stage_time = 0;      ///< total_time / #stages
   };
 
-  void drain();
+  [[nodiscard]] SimDuration priority(const ActiveRequest& ar, std::size_t node) const override;
+  [[nodiscard]] Window window(const ActiveRequest& ar, std::size_t node) const override;
   /// Overall profile of a request *type*, cached with a coarse TTL (profile
   /// means drift slowly).
   [[nodiscard]] const OverallProfile& profile_of(RequestTypeId type) const;
 
-  std::vector<std::pair<RequestId, std::size_t>> ready_;
   struct CachedProfile {
     SimTime computed_at = -1;
     OverallProfile profile;

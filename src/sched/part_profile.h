@@ -10,26 +10,24 @@
 #pragma once
 
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/types.h"
-#include "sched/scheduler.h"
+#include "sched/common.h"
 
 namespace vmlp::sched {
 
-class PartProfile final : public IScheduler {
+class PartProfile final : public AdmissionScheduler {
  public:
+  PartProfile() : AdmissionScheduler(&machine_first_fit) {}
+
   [[nodiscard]] std::string name() const override { return "PartProfile"; }
-  void on_request_arrival(RequestId id) override;
-  void on_node_unblocked(RequestId id, std::size_t node) override;
-  void on_tick() override;
 
  private:
-  void drain();
-  [[nodiscard]] SimDuration remaining_path_estimate(RequestId id, std::size_t from_node) const;
+  [[nodiscard]] SimDuration priority(const ActiveRequest& ar, std::size_t node) const override;
+  [[nodiscard]] Window window(const ActiveRequest& ar, std::size_t node) const override;
+  [[nodiscard]] SimDuration remaining_path_estimate(const app::RequestType& type,
+                                                    std::size_t from_node) const;
 
-  std::vector<std::pair<RequestId, std::size_t>> ready_;
   /// (request type, node) -> cached longest-remaining-path estimate; profile
   /// means drift slowly, so entries refresh on a coarse timer.
   struct CachedPath {

@@ -86,7 +86,7 @@ TEST(Estimates, MeanExecUsesProfileThenFallsBack) {
   const auto compose = *application->find_request("compose-post");
   const auto& rt = application->request(compose);
   const auto& svc0 = application->service(rt.nodes()[0].service);
-  const SimDuration fallback = sched::estimate_mean_exec(driver, rt, 0);
+  const SimDuration fallback = sched::estimate_mean_exec(driver.profiles(), *application, rt, 0);
   EXPECT_NEAR(static_cast<double>(fallback),
               static_cast<double>(svc0.nominal_time) * rt.nodes()[0].time_scale,
               static_cast<double>(svc0.nominal_time) * 0.01);
@@ -95,7 +95,7 @@ TEST(Estimates, MeanExecUsesProfileThenFallsBack) {
   for (int i = 0; i < 8; ++i) {
     driver.profiles().record(rt.nodes()[0].service, compose, {{1, 1, 1}, 0.1, 99 * kMsec});
   }
-  EXPECT_EQ(sched::estimate_mean_exec(driver, rt, 0), 99 * kMsec);
+  EXPECT_EQ(sched::estimate_mean_exec(driver.profiles(), *application, rt, 0), 99 * kMsec);
 }
 
 TEST(Estimates, WarmupMakesEstimatesFinite) {
@@ -104,7 +104,7 @@ TEST(Estimates, WarmupMakesEstimatesFinite) {
   sched::SimulationDriver driver(*application, probe, params());
   for (const auto& rt : application->requests()) {
     for (std::size_t n = 0; n < rt.size(); ++n) {
-      const SimDuration est = sched::estimate_mean_exec(driver, rt, n);
+      const SimDuration est = sched::estimate_mean_exec(driver.profiles(), *application, rt, n);
       EXPECT_GT(est, 0);
       EXPECT_LT(est, kSec);
     }

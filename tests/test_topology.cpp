@@ -1,8 +1,8 @@
 // CellTopology: partition math, router ranking, live counters, the headroom
 // summary index, and the scale-out determinism claims — a single-cell
-// topology run is byte-identical to the flat cluster (determinism_check
-// claim 7 pins the full export; these tests keep the core guarantee inside
-// ctest), and multi-cell routing is deterministic and actually routes.
+// topology run keeps its pinned decisions (determinism_check claim 5 pins the
+// full export; the pin here keeps the core guarantee inside ctest), and
+// multi-cell routing is deterministic and actually routes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,7 +247,7 @@ void expect_identical(const sched::RunResult& a, const sched::RunResult& b) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.unfinished, b.unfinished);
   EXPECT_EQ(a.placements, b.placements);
-  // Bit-exact: any drift means the router path perturbed a decision.
+  // Bit-exact: a same-seed rerun must not move any decision.
   EXPECT_EQ(a.qos_violation_rate, b.qos_violation_rate);
   EXPECT_EQ(a.mean_utilization, b.mean_utilization);
   EXPECT_EQ(a.p50_latency_us, b.p50_latency_us);
@@ -257,17 +257,25 @@ void expect_identical(const sched::RunResult& a, const sched::RunResult& b) {
   EXPECT_EQ(a.throughput_rps, b.throughput_rps);
 }
 
-TEST(TopologyDeterminism, SingleCellRouterIsByteIdenticalToFlatScan) {
-  // The claim-7 hinge: cell_router on a 1-cell topology must reproduce the
-  // pre-topology flat scan bit-for-bit (cursor trajectories coincide).
-  auto with_router = scale_config(8, 1, 11);
-  with_router.vmlp.cell_router = true;
-  auto flat = scale_config(8, 1, 11);
-  flat.vmlp.cell_router = false;
-  const auto a = run_experiment(with_router);
-  const auto b = run_experiment(flat);
-  expect_identical(a.run, b.run);
-  EXPECT_EQ(a.utilization_series, b.utilization_series);
+TEST(TopologyDeterminism, SingleCellRunMatchesPinnedMetrics) {
+  // A one-cell topology keeps the pre-topology flat scan's decisions: these
+  // values were recorded when a flat-scan reference mode still existed and
+  // the routed and flat runs of this config were byte-identical.
+  // determinism_check claim 5 pins the full one-cell metric stream by digest.
+  const auto r = run_experiment(scale_config(8, 1, 11));
+  EXPECT_EQ(r.run.arrived, 118u);
+  EXPECT_EQ(r.run.completed, 114u);
+  EXPECT_EQ(r.run.unfinished, 4u);
+  EXPECT_EQ(r.run.placements, 918u);
+  EXPECT_EQ(r.run.qos_violation_rate, 0.033898305084745763);
+  EXPECT_EQ(r.run.mean_utilization, 0.1043125);
+  EXPECT_EQ(r.run.p50_latency_us, 94582.0);
+  EXPECT_EQ(r.run.p90_latency_us, 167857.5);
+  EXPECT_EQ(r.run.p99_latency_us, 200628.02000000002);
+  EXPECT_EQ(r.run.mean_latency_us, 94066.508771929832);
+  EXPECT_EQ(r.run.throughput_rps, 38.0);
+  EXPECT_EQ(r.utilization_series,
+            (std::vector<double>{0.086087890624999996, 0.097201822916666653, 0.12964778645833333}));
 }
 
 TEST(TopologyDeterminism, MultiCellRunIsDeterministicAndCompletes) {
@@ -278,7 +286,7 @@ TEST(TopologyDeterminism, MultiCellRunIsDeterministicAndCompletes) {
   expect_identical(a.run, b.run);
   EXPECT_GT(a.run.completed, 0u);
   // Vacuity guard: the router actually routed (stages went through ranked
-  // cells), so the byte-identity test above is not comparing two flat scans.
+  // cells).
   const obs::MetricSnapshot* routed = a.obs.snapshot.find("topology.stages_routed");
   ASSERT_NE(routed, nullptr);
   EXPECT_GT(routed->counter, 0u);

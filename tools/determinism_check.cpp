@@ -35,13 +35,14 @@
 //     1, 4 and 8 pool threads, and the merged metrics snapshot itself
 //     (Prometheus text) is byte-stable across thread counts.
 //
-//  7. The cell topology is structurally inert at one cell: v-MLP grids in the
-//     claim-5 shapes produce byte-identical metric streams with the cell
-//     router enabled on a single-cell topology versus the router disabled
-//     (the pre-topology flat scan), at 1, 4 and 8 pool threads — and a
-//     2-cell run genuinely diverges from flat (vacuity guard: the router
-//     must be load-bearing somewhere for "inert at one cell" to mean
-//     anything).
+//  7. The cell topology is structurally inert at one cell and deterministic
+//     at two: the claim-5 grid runs on a one-cell topology, so its pinned
+//     digest is the one-cell stream (it was recorded when a flat-scan
+//     reference mode still existed, and the flat scan hashed to it as well).
+//     The same grid on a 2-cell topology produces a metric stream that is
+//     byte-identical at 1, 4 and 8 pool threads and genuinely diverges from
+//     the one-cell stream (vacuity guard: the router must be load-bearing
+//     somewhere for "inert at one cell" to mean anything).
 //
 //  8. Latency attribution is zero-perturbation: the claim-1 grid's trial
 //     summaries are byte-identical with per-request attribution (phase
@@ -177,15 +178,10 @@ std::vector<exp::ExperimentConfig> make_claim5_grid() {
   return grid;
 }
 
-/// The claim-7 grids: the claim-5 shapes with `cells` cells, the cell router
-/// on or off. (router=false, cells=1) is the historical flat scan; the claim
-/// is that (router=true, cells=1) cannot be told apart from it.
-std::vector<exp::ExperimentConfig> make_topology_grid(bool router, std::size_t cells) {
+/// The claim-7 grid: the claim-5 shapes on a 2-cell topology.
+std::vector<exp::ExperimentConfig> make_two_cell_grid() {
   auto grid = make_claim5_grid();
-  for (auto& c : grid) {
-    c.vmlp.cell_router = router;
-    c.driver.cluster.topology.cells = cells;
-  }
+  for (auto& c : grid) c.driver.cluster.topology.cells = 2;
   return grid;
 }
 
@@ -499,54 +495,40 @@ int main() {
                 << obs_off_baseline.size() << " bytes; merged snapshot "
                 << obs_metrics_baseline.size() << " bytes)\n";
     }
-    // --- claim 7: the cell topology is inert at one cell -------------------
-    const auto routed_grid = make_topology_grid(/*router=*/true, /*cells=*/1);
-    const auto flat_grid = make_topology_grid(/*router=*/false, /*cells=*/1);
+    // --- claim 7: the cell router is inert at one cell, deterministic at two -
+    // The one-cell stream is claim 5's pinned stream; what is left to check
+    // is that the 2-cell stream replays across pool sizes and differs.
+    const auto two_cell_grid = make_two_cell_grid();
     const int failures_before_topology = failures;
-    std::string topology_baseline;
+    std::string two_cell_baseline;
     for (const std::size_t threads : {1u, 4u, 8u}) {
-      std::cout << "running single-cell router vs flat-scan grids at " << threads
-                << " thread(s)..." << std::endl;
-      const std::string routed = run_grid_stream(routed_grid, threads);
-      const std::string flat = run_grid_stream(flat_grid, threads);
-      if (routed != flat) {
-        report_divergence("single-cell router vs flat-scan metric stream (" +
-                              std::to_string(threads) + " threads)",
-                          routed, flat);
-        ++failures;
-      }
+      std::cout << "running 2-cell router grid at " << threads << " thread(s)..." << std::endl;
+      const std::string stream = run_grid_stream(two_cell_grid, threads);
       if (threads == 1) {
-        topology_baseline = routed;
-      } else if (routed != topology_baseline) {
-        report_divergence("single-cell router metric stream (1 vs " + std::to_string(threads) +
+        two_cell_baseline = stream;
+      } else if (stream != two_cell_baseline) {
+        report_divergence("2-cell router metric stream (1 vs " + std::to_string(threads) +
                               " threads)",
-                          topology_baseline, routed);
+                          two_cell_baseline, stream);
         ++failures;
       }
     }
     // Vacuity guards: the grid must place work, and a 2-cell partition must
     // genuinely change decisions — otherwise "inert at one cell" is trivially
     // true because the router is inert everywhere.
-    if (topology_baseline.find("placements=0 ") != std::string::npos) {
-      std::cerr << "FAIL: a topology grid cell placed nothing — claim 7 is vacuous\n";
+    if (two_cell_baseline.find("placements=0 ") != std::string::npos) {
+      std::cerr << "FAIL: a 2-cell grid cell placed nothing — claim 7 is vacuous\n";
       ++failures;
     }
-    std::cout << "running 2-cell router grid (divergence guard)..." << std::endl;
-    const std::string two_cell = run_grid_stream(make_topology_grid(true, 2), 1);
-    const std::string two_cell_repeat = run_grid_stream(make_topology_grid(true, 2), 1);
-    if (two_cell == topology_baseline) {
-      std::cerr << "FAIL: 2-cell router stream identical to flat scan — the router "
+    if (two_cell_baseline == claim5_baseline) {
+      std::cerr << "FAIL: 2-cell router stream identical to the one-cell stream — the router "
                    "never changed a decision, claim 7 is vacuous\n";
       ++failures;
     }
-    if (two_cell != two_cell_repeat) {
-      report_divergence("2-cell router metric stream (repeat)", two_cell, two_cell_repeat);
-      ++failures;
-    }
     if (failures == failures_before_topology) {
-      std::cout << "OK: single-cell router and flat-scan streams byte-identical across "
-                   "1/4/8 threads ("
-                << topology_baseline.size() << " bytes); 2-cell run diverges and replays\n";
+      std::cout << "OK: 2-cell router stream byte-identical across 1/4/8 threads ("
+                << two_cell_baseline.size() << " bytes) and diverges from the pinned one-cell "
+                   "stream\n";
     }
 
     // --- claim 8: latency attribution is zero-perturbation -----------------
