@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
     if (const auto path = cfg.get("export.spans_json")) {
       trace::SpanExportOptions span_options;
       span_options.machines_per_rack = dp.machines_per_rack;
-      span_options.mark_critical = dp.attribution;
       trace::export_spans_json_file(driver.tracer(), *application, *path, span_options);
       std::cout << "spans written to " << *path << '\n';
     }

@@ -394,8 +394,8 @@ void SimulationDriver::resolve_startable(ActiveRequest& ar, std::size_t node) {
   for (std::size_t k = first; k < first + dag.parents(node).size(); ++k) {
     const ParentMsg& msg = ar.parent_msgs[k];
     const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, machine);
-    // Blocking edge: latest message arrival, ties to the lower parent index
-    // (the deterministic convention shared with trace/export).
+    // Blocking edge: latest message arrival, ties to the lower parent index.
+    // Every trace consumer reads this choice from Span::blocking_parent.
     if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
       startable = arrived;
       blocking = msg.parent;

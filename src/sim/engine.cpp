@@ -11,8 +11,7 @@ namespace vmlp::sim {
 namespace {
 
 /// Handle ids pack (generation << 32) | slot. Generations cycle through
-/// [1, 2^31-1]: never zero (0 marks a free slot / invalid handle) and never
-/// touching bit 63 (the periodic-series tag bit).
+/// [1, 2^31-1]: never zero (0 marks a free slot / invalid handle).
 std::uint64_t pack_id(std::uint64_t generation, std::uint32_t slot) {
   const std::uint64_t gen = (generation % 0x7fffffffULL) + 1;
   return (gen << 32) | slot;
@@ -139,40 +138,22 @@ EventHandle Engine::schedule_after(SimDuration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventHandle Engine::schedule_periodic(SimTime start, SimDuration period, Callback fn) {
+void Engine::schedule_periodic(SimTime start, SimDuration period, Callback fn) {
   VMLP_CHECK_MSG(period > 0, "periodic period must be positive");
   VMLP_CHECK_MSG(static_cast<bool>(fn), "null periodic callback");
-  const std::uint64_t series_id = kPeriodicBit | ++next_series_;
-  periodics_.emplace(series_id, PeriodicState{period, std::make_shared<Callback>(std::move(fn)),
-                                               EventHandle{}});
-  arm_periodic(series_id, start);
-  return EventHandle{series_id};
+  periodics_.push_back(Periodic{period, std::move(fn)});
+  arm_periodic(periodics_.back(), start);
 }
 
-void Engine::arm_periodic(std::uint64_t series_id, SimTime t) {
-  auto it = periodics_.find(series_id);
-  VMLP_CHECK(it != periodics_.end());
-  it->second.occurrence = schedule_at(t, [this, series_id] {
-    auto sit = periodics_.find(series_id);
-    if (sit == periodics_.end()) return;
-    // Re-arm before running the body so the body may cancel the series.
-    const SimTime next = now_ + sit->second.period;
-    const std::shared_ptr<Callback> body = sit->second.fn;  // body may cancel and erase state
-    arm_periodic(series_id, next);
-    (*body)();
+void Engine::arm_periodic(Periodic& series, SimTime t) {
+  schedule_at(t, [this, &series] {
+    arm_periodic(series, now_ + series.period);
+    series.fn();
   });
 }
 
 bool Engine::cancel(EventHandle handle) {
-  if (!handle.valid()) return false;
-  if ((handle.id & kPeriodicBit) != 0) {
-    auto it = periodics_.find(handle.id);
-    if (it == periodics_.end()) return false;
-    const EventHandle occurrence = it->second.occurrence;
-    periodics_.erase(it);
-    return cancel(occurrence);
-  }
-  if (!live(handle)) return false;
+  if (!pending(handle)) return false;
   const std::uint32_t slot = slot_of(handle.id);
   heap_remove(slot);
   release_slot(slot);
@@ -180,14 +161,8 @@ bool Engine::cancel(EventHandle handle) {
   return true;
 }
 
-bool Engine::pending(EventHandle handle) const {
-  if (!handle.valid()) return false;
-  if ((handle.id & kPeriodicBit) != 0) return periodics_.count(handle.id) > 0;
-  return live(handle);
-}
-
 bool Engine::reschedule(EventHandle handle, SimTime t) {
-  if (!handle.valid() || (handle.id & kPeriodicBit) != 0 || !live(handle)) return false;
+  if (!pending(handle)) return false;
   VMLP_CHECK_MSG(t >= now_, "rescheduling into the past: t=" << t << " now=" << now_);
   VMLP_AUDIT_ASSERT(t < kTimeInfinity, "event rescheduled to infinity (unresolved plan time)");
   const std::uint32_t slot = slot_of(handle.id);

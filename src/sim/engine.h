@@ -21,8 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "common/arena.h"
@@ -57,22 +56,25 @@ class Engine {
   EventHandle schedule_at(SimTime t, Callback fn);
   /// Schedule `fn` after `delay` from now.
   EventHandle schedule_after(SimDuration delay, Callback fn);
-  /// Schedule `fn` every `period`, first firing at `start`. Returns the handle
-  /// of the series; cancelling it stops the whole series.
-  EventHandle schedule_periodic(SimTime start, SimDuration period, Callback fn);
+  /// Schedule `fn` every `period`, first firing at `start`, for the rest of
+  /// the simulation. Each occurrence queues the next one before running `fn`,
+  /// so an event `fn` schedules at now + period fires after that occurrence.
+  void schedule_periodic(SimTime start, SimDuration period, Callback fn);
 
   /// Cancel a pending event. Returns false if it already fired/was cancelled.
   bool cancel(EventHandle handle);
   /// True if the handle refers to a still-pending event.
-  [[nodiscard]] bool pending(EventHandle handle) const;
+  [[nodiscard]] bool pending(EventHandle handle) const {
+    const std::uint32_t slot = slot_of(handle.id);
+    return slot < pool_.size() && pool_[slot].id == handle.id && handle.id != 0;
+  }
 
   /// Move a pending event to absolute time `t` (>= now), keeping its stored
   /// callback and handle — the decrease-key path for the driver's frequent
   /// re-rating reschedules. The event is re-sequenced as if freshly
   /// scheduled: among events at equal `t` it fires after those already
   /// queued, exactly matching the cancel+schedule_at idiom it replaces.
-  /// Returns false (no-op) if the handle is not pending; periodic series
-  /// handles cannot be rescheduled.
+  /// Returns false (no-op) if the handle is not pending.
   bool reschedule(EventHandle handle, SimTime t);
   /// reschedule() at now + delay.
   bool reschedule_after(EventHandle handle, SimDuration delay);
@@ -108,8 +110,6 @@ class Engine {
 
  private:
   static constexpr std::uint32_t kNoHeapPos = 0xffffffffu;
-  /// Tag bit distinguishing periodic-series handles from event handles.
-  static constexpr std::uint64_t kPeriodicBit = 1ULL << 63;
 
   struct Event {
     SimTime time = 0;
@@ -119,23 +119,13 @@ class Engine {
     Callback fn;
   };
 
-  struct PeriodicState {
+  struct Periodic {
     SimDuration period;
-    // Shared so each occurrence copies only the pointer before the call: the
-    // body may cancel — and thereby destroy — the series state, and the copy
-    // keeps the running body alive until it returns.
-    std::shared_ptr<Callback> fn;
-    EventHandle occurrence;  ///< the currently queued occurrence event
+    Callback fn;
   };
 
   static std::uint32_t slot_of(std::uint64_t id) {
     return static_cast<std::uint32_t>(id & 0xffffffffu);
-  }
-
-  [[nodiscard]] bool live(EventHandle handle) const {
-    const std::uint32_t slot = slot_of(handle.id);
-    return (handle.id & kPeriodicBit) == 0 && slot < pool_.size() &&
-           pool_[slot].id == handle.id && handle.id != 0;
   }
 
   /// True when the event in `a` fires before the event in `b`.
@@ -152,13 +142,12 @@ class Engine {
   void heap_remove(std::uint32_t slot);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
-  void arm_periodic(std::uint64_t series_id, SimTime t);
+  void arm_periodic(Periodic& series, SimTime t);
 
   SimTime now_ = 0;
   SimTime last_fired_ = 0;  // audit bookkeeping: firing-order monotonicity
   std::uint64_t next_generation_ = 1;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_series_ = 0;
   std::uint64_t executed_ = 0;
   obs::Collector* obs_ = nullptr;           ///< optional telemetry sink (write-only)
   bool obs_ring_ = false;                   ///< cached Params::ring_engine_events
@@ -176,10 +165,9 @@ class Engine {
   ArenaVector<Event> pool_;                 ///< slot-indexed event storage
   ArenaVector<std::uint32_t> free_slots_;   ///< reusable pool slots
   ArenaVector<std::uint32_t> heap_;         ///< binary min-heap of slot indices
-  /// Periodic series: series handle id -> state; occurrence events re-arm
-  /// themselves under fresh event ids while the series id stays stable so one
-  /// cancel() stops the series. Cold path: a handful per simulation.
-  std::unordered_map<std::uint64_t, PeriodicState> periodics_;
+  /// Periodic series, never removed; a deque keeps each one at a stable
+  /// address for its occurrence events. Cold path: a handful per simulation.
+  std::deque<Periodic> periodics_;
 };
 
 }  // namespace vmlp::sim

@@ -25,9 +25,12 @@
 // under VMLP_AUDIT=1.
 //
 // Deterministic tie-breaking: the finishing node is the latest-ending span
-// (ties to the lower node index), and `blocking_parent` was chosen by the
-// driver with the same latest-finish/lowest-index rule — so the extracted
-// path is a pure function of the recorded spans, byte-stable across runs.
+// (ties to the lower node index), and each `blocking_parent` was recorded by
+// the driver as the parent whose message arrived last (ties to the lower
+// node index) — so the extracted path is a pure function of the recorded
+// spans, byte-stable across runs. This walk is the one definition of the
+// blocking chain: the attribution report, the Perfetto and Zipkin exports
+// and the breakdown bench all read it.
 //
 // Everything here is read-only analysis over already-recorded data; it never
 // feeds back into scheduling (zero-perturbation contract).

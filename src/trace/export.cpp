@@ -2,7 +2,9 @@
 
 #include <fstream>
 #include <ostream>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -10,48 +12,43 @@
 
 namespace vmlp::trace {
 
-std::string json_escape(const std::string& s) { return vmlp::json_escape(s); }
-
 namespace {
 
-/// The span this one should point at as its Zipkin parent: among the
-/// request's recorded spans, the DAG parent that finished last (the edge the
-/// start actually waited on); ties break to the lower node index. Null for
-/// roots, spans without a node index, or parents not (yet) recorded.
-const Span* parent_span(const Tracer& tracer, const app::Application& application,
-                        const Span& span) {
-  if (span.node == Span::kNoNode) return nullptr;
-  const auto& dag = application.request(span.request_type).dag();
-  if (span.node >= dag.node_count()) return nullptr;
-  const auto& parents = dag.parents(span.node);
-  if (parents.empty()) return nullptr;
-  const Span* best = nullptr;
-  for (const Span* candidate : tracer.spans_of(span.request)) {
-    if (candidate->node == Span::kNoNode) continue;
-    bool is_parent = false;
-    for (std::size_t p : parents) is_parent = is_parent || candidate->node == p;
-    if (!is_parent) continue;
-    if (best == nullptr || candidate->end > best->end ||
-        (candidate->end == best->end && candidate->node < best->node)) {
-      best = candidate;
-    }
-  }
-  return best;
+/// Each request's recorded spans indexed by DAG node. On duplicate spans of a
+/// node the later-recorded one wins, as in extract_critical_path.
+using NodeIndex = std::unordered_map<RequestId, std::vector<const Span*>>;
+
+const Span* blocking_span(const NodeIndex& index, const Span& span) {
+  if (span.blocking_parent == Span::kNoNode) return nullptr;
+  const auto it = index.find(span.request);
+  if (it == index.end() || span.blocking_parent >= it->second.size()) return nullptr;
+  return it->second[span.blocking_parent];
 }
 
 }  // namespace
 
 void export_spans_json(const Tracer& tracer, const app::Application& application,
                        std::ostream& out, const SpanExportOptions& options) {
-  // Blocking-chain membership per finished request, when requested: the set
-  // of spans whose phases carry the end-to-end latency.
+  NodeIndex index;
+  for (const Span& s : tracer.spans()) {
+    if (s.node == Span::kNoNode) continue;
+    std::vector<const Span*>& nodes = index[s.request];
+    if (nodes.size() <= s.node) nodes.resize(static_cast<std::size_t>(s.node) + 1, nullptr);
+    nodes[s.node] = &s;
+  }
+  // Blocking-chain membership per finished request: the spans whose phases
+  // carry the end-to-end latency.
   std::unordered_set<const Span*> critical;
-  if (options.mark_critical) {
-    for (const RequestRecord* rec : tracer.requests()) {
-      if (!rec->finished()) continue;
-      const app::Dag& dag = application.request(rec->type).dag();
-      const auto path = extract_critical_path(*rec, tracer.spans_of(rec->id), &dag);
-      for (const CriticalStep& step : path.steps) critical.insert(step.span);
+  std::vector<const Span*> spans;
+  for (const RequestRecord* rec : tracer.requests()) {
+    const auto it = index.find(rec->id);
+    if (!rec->finished() || it == index.end()) continue;
+    spans.clear();
+    for (const Span* s : it->second) {
+      if (s != nullptr) spans.push_back(s);
+    }
+    for (const CriticalStep& step : extract_critical_path(*rec, spans).steps) {
+      critical.insert(step.span);
     }
   }
 
@@ -64,7 +61,7 @@ void export_spans_json(const Tracer& tracer, const app::Application& application
     const auto& req = application.request(span.request_type);
     out << "\n  {\"traceId\":\"" << span.request.value() << "\""
         << ",\"id\":\"" << span.instance.value() << "\"";
-    if (const Span* parent = parent_span(tracer, application, span); parent != nullptr) {
+    if (const Span* parent = blocking_span(index, span); parent != nullptr) {
       out << ",\"parentId\":\"" << parent->instance.value() << "\"";
     }
     out << ",\"name\":\"" << json_escape(svc.name) << "\""

@@ -21,20 +21,18 @@ struct SpanExportOptions {
   /// `rack` tag (machine / machines_per_rack) next to its `machine` tag so
   /// trace tooling can group lanes the way the cluster is cabled.
   std::size_t machines_per_rack = 0;
-  /// Run the critical-path extractor over each finished request and tag its
-  /// blocking-chain spans `"critical":"true"`, so Zipkin/Jaeger can filter
-  /// straight to the latency-carrying path (same chain the attribution
-  /// report blames).
-  bool mark_critical = false;
 };
 
 /// Write all spans as a Zipkin v2 JSON array:
 /// [{"traceId","id","parentId","name","timestamp","duration",
 ///   "localEndpoint":{...},"tags":{...}}...].
 /// Timestamps are simulated microseconds. `parentId` links each span to the
-/// latest-finishing DAG parent recorded for the same request (ties break to
-/// the lower node index), so Zipkin/Jaeger render the request as a proper
-/// tree; root spans and spans recorded without a node index omit it.
+/// recorded span of its `blocking_parent` — the parent whose message arrived
+/// last, as chosen by the driver — so Zipkin/Jaeger render the request as a
+/// tree; roots and spans without a recorded blocking parent omit it. Each
+/// finished request's blocking chain (trace::extract_critical_path, the chain
+/// the attribution report blames) is tagged `"critical":"true"`, so the
+/// critical spans of a request form one parentId-linked path from its root.
 void export_spans_json(const Tracer& tracer, const app::Application& application,
                        std::ostream& out, const SpanExportOptions& options = {});
 
@@ -49,8 +47,5 @@ void export_requests_csv(const Tracer& tracer, const app::Application& applicati
 
 void export_requests_csv_file(const Tracer& tracer, const app::Application& application,
                               const std::string& path);
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s);
 
 }  // namespace vmlp::trace

@@ -1,6 +1,7 @@
 // Discrete-event engine: ordering, cancellation, periodics, horizons.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -155,43 +156,18 @@ TEST(Engine, PeriodicFiresRepeatedly) {
   EXPECT_EQ(times, (std::vector<SimTime>{10, 20, 30, 40}));
 }
 
-TEST(Engine, PeriodicCancelStopsSeries) {
+TEST(Engine, PeriodicRearmsBeforeItsBody) {
+  // Each occurrence queues the next one before running the body, so an event
+  // the body schedules at now + period takes a later sequence number and
+  // fires after that next occurrence.
   Engine e;
-  int fired = 0;
-  auto h = e.schedule_periodic(10, 10, [&] { ++fired; });
+  std::vector<std::string> order;
+  e.schedule_periodic(10, 10, [&] {
+    order.push_back("tick@" + std::to_string(e.now()));
+    if (e.now() == 10) e.schedule_at(20, [&] { order.push_back("event@20"); });
+  });
   e.run_until(25);
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(e.cancel(h));
-  e.run_until(100);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, PeriodicCanCancelItself) {
-  Engine e;
-  int fired = 0;
-  EventHandle h;
-  h = e.schedule_periodic(10, 10, [&] {
-    ++fired;
-    if (fired == 3) e.cancel(h);
-  });
-  e.run_until(1000);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Engine, PeriodicBodyOutlivesItsOwnCancel) {
-  // The body cancels its series mid-call and then reads its own captured
-  // state: the engine must keep the running body alive until it returns
-  // (ASan flags a use-after-free otherwise).
-  Engine e;
-  EventHandle h;
-  std::vector<std::size_t> seen;
-  h = e.schedule_periodic(10, 10, [&e, &h, &seen, marks = std::vector<std::size_t>{7, 8, 9}] {
-    e.cancel(h);
-    seen.push_back(marks.size() + marks.back());
-  });
-  e.run_until(100);
-  EXPECT_EQ(seen, (std::vector<std::size_t>{12}));
-  EXPECT_FALSE(e.pending(h));
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@10", "tick@20", "event@20"}));
 }
 
 TEST(Engine, PeriodicBadParamsThrow) {
@@ -275,13 +251,6 @@ TEST(Engine, RescheduleStaleHandleAfterSlotReuseReturnsFalse) {
   EXPECT_FALSE(e.reschedule(old, 500));
   e.run_until(30);
   EXPECT_TRUE(ran);
-}
-
-TEST(Engine, ReschedulePeriodicSeriesReturnsFalse) {
-  Engine e;
-  auto h = e.schedule_periodic(10, 10, [] {});
-  EXPECT_FALSE(e.reschedule(h, 50));
-  EXPECT_TRUE(e.cancel(h));
 }
 
 TEST(Engine, RescheduleIntoPastThrows) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "loadgen/replay.h"
 #include "mlp/vmlp.h"
 #include "sched/driver.h"
@@ -17,10 +18,10 @@ namespace {
 // ---- trace export ------------------------------------------------------
 
 TEST(Export, JsonEscaping) {
-  EXPECT_EQ(trace::json_escape("plain"), "plain");
-  EXPECT_EQ(trace::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(trace::json_escape("x\ny"), "x\\ny");
-  EXPECT_EQ(trace::json_escape(std::string("z\x01")), "z\\u0001");
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("x\ny"), "x\\ny");
+  EXPECT_EQ(json_escape(std::string("z\x01")), "z\\u0001");
 }
 
 TEST(Export, SpansJsonShape) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,10 +16,14 @@
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "exp/trial_runner.h"
+#include "loadgen/generator.h"
+#include "loadgen/patterns.h"
 #include "obs/collector.h"
 #include "obs/events.h"
 #include "obs/export.h"
 #include "obs/registry.h"
+#include "sched/driver.h"
+#include "sched/fair_sched.h"
 #include "trace/export.h"
 #include "trace/tracer.h"
 #include "workloads/suite.h"
@@ -525,8 +530,8 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
 
   trace::Tracer tracer;
   tracer.on_request_arrival(RequestId(7), RequestTypeId(0), 100);
-  // Two executions of the root node (a retry) plus one child: the child's
-  // Zipkin parent must be the *latest-finishing* root instance.
+  // Two executions of the root node (a retry) plus one child blocked by it:
+  // the child's Zipkin parent is the later-recorded root instance.
   trace::Span root_early{RequestId(7), RequestTypeId(0), ServiceTypeId(0), InstanceId(1),
                          MachineId(3), 1000, 4000};
   root_early.node = 0;
@@ -536,6 +541,7 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
   trace::Span child{RequestId(7), RequestTypeId(0), ServiceTypeId(1), InstanceId(3),
                     MachineId(5), 5200, 6000};
   child.node = child_node;
+  child.blocking_parent = 0;
   tracer.record_span(root_early);
   tracer.record_span(root_late);
   tracer.record_span(child);
@@ -620,9 +626,7 @@ TEST(ObsZipkin, ControlCharacterNamesRoundtripWithCriticalTags) {
   tracer.on_request_completion(RequestId(7), 400);
 
   std::ostringstream os;
-  trace::SpanExportOptions options;
-  options.mark_critical = true;
-  trace::export_spans_json(tracer, application, os, options);
+  trace::export_spans_json(tracer, application, os);
   const JsonValue spans = JsonParser(os.str()).parse();
   ASSERT_EQ(spans.items.size(), 3u);
   for (const JsonValue& s : spans.items) {
@@ -638,6 +642,100 @@ TEST(ObsZipkin, ControlCharacterNamesRoundtripWithCriticalTags) {
       EXPECT_EQ(s.get("tags")->get_str("critical"), "true");
     }
   }
+}
+
+TEST(ObsZipkin, ParentIdIsBlockingParentAndCriticalTagsFormOneChain) {
+  // A failing, healing driver run: every parentId must name the span of the
+  // parent the driver recorded as blocking, and each finished request's
+  // critical spans must form one parentId-linked chain ending at its root.
+  auto application = workloads::make_benchmark_suite();
+  sched::FairSched scheduler;
+  sched::DriverParams p;
+  p.horizon = 10 * kSec;
+  p.cluster.machine_count = 10;
+  p.seed = 2022;
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 0.5;
+  p.failure.recovery_mean = 500 * kMsec;
+  p.failure.container_fault_prob = 0.05;
+  sched::SimulationDriver driver(*application, scheduler, p);
+  loadgen::PatternParams pp;
+  pp.horizon = p.horizon;
+  pp.base_rate = 40.0;
+  pp.max_rate = 80.0;
+  pp.peak_time = p.horizon / 2;
+  const auto pattern = loadgen::WorkloadPattern::make(loadgen::PatternKind::kL1Pulse, pp, 3);
+  Rng rng(3);
+  driver.load_arrivals(loadgen::generate_arrivals(
+      pattern, loadgen::RequestMix::all(*application), rng));
+  const sched::RunResult r = driver.run();
+  ASSERT_GT(r.retries, 0u);
+  ASSERT_GT(r.completed, 300u);
+
+  std::ostringstream os;
+  trace::export_spans_json(driver.tracer(), *application, os);
+  const JsonValue spans = JsonParser(os.str()).parse();
+  const std::vector<trace::Span>& recorded = driver.tracer().spans();
+  ASSERT_EQ(spans.items.size(), recorded.size());
+
+  // Recorded span of (request, node), and the exported spans of each request.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, const trace::Span*> by_node;
+  for (const trace::Span& s : recorded) by_node[{s.request.value(), s.node}] = &s;
+  std::map<std::uint64_t, std::vector<std::size_t>> by_request;
+  std::size_t multi_parent = 0;
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    const trace::Span& s = recorded[i];
+    const JsonValue& out = spans.items[i];
+    ASSERT_EQ(out.get_str("id"), std::to_string(s.instance.value()));
+    by_request[s.request.value()].push_back(i);
+    if (application->request(s.request_type).dag().parents(s.node).size() > 1) ++multi_parent;
+    if (s.blocking_parent == trace::Span::kNoNode) {
+      EXPECT_EQ(out.get("parentId"), nullptr) << "root span " << i;
+      continue;
+    }
+    const trace::Span* parent = by_node.at({s.request.value(), s.blocking_parent});
+    EXPECT_EQ(out.get_str("parentId"), std::to_string(parent->instance.value())) << "span " << i;
+  }
+  ASSERT_GT(multi_parent, 200u) << "the run must exercise fan-in choices";
+
+  std::size_t chains = 0;
+  for (const trace::RequestRecord* rec : driver.tracer().requests()) {
+    std::map<std::string, std::size_t> critical;  // id -> span index
+    for (const std::size_t i : by_request[rec->id.value()]) {
+      if (spans.items[i].get("tags")->get("critical") != nullptr) {
+        critical[spans.items[i].get_str("id")] = i;
+      }
+    }
+    if (!rec->finished()) {
+      EXPECT_TRUE(critical.empty()) << "unfinished request " << rec->id.value();
+      continue;
+    }
+    // Exactly one critical root; every other critical span's parentId names
+    // a critical span, and no critical span has two critical children.
+    std::map<std::string, std::string> child_of;
+    std::string root;
+    for (const auto& [id, i] : critical) {
+      const JsonValue* parent = spans.items[i].get("parentId");
+      if (parent == nullptr) {
+        EXPECT_TRUE(root.empty()) << "two critical roots in request " << rec->id.value();
+        EXPECT_TRUE(application->request(rec->type).dag().parents(recorded[i].node).empty());
+        root = id;
+        continue;
+      }
+      ASSERT_EQ(critical.count(parent->str), 1u)
+          << "critical span " << id << " points at a span off the chain";
+      EXPECT_TRUE(child_of.emplace(parent->str, id).second)
+          << "critical span " << parent->str << " has two critical children";
+    }
+    ASSERT_FALSE(root.empty()) << "request " << rec->id.value();
+    std::size_t walked = 1;
+    for (auto it = child_of.find(root); it != child_of.end(); it = child_of.find(it->second)) {
+      ++walked;
+    }
+    EXPECT_EQ(walked, critical.size()) << "request " << rec->id.value();
+    ++chains;
+  }
+  EXPECT_EQ(chains, r.completed);
 }
 
 // ---- zero-perturbation (claim 6, unit-level) ---------------------------

@@ -160,7 +160,12 @@ def line_of(text: str, idx: int) -> int:
 LAMBDA_HEAD = re.compile(
     r"\[[^\[\]]*\]\s*(?:\([^()]*\))?\s*(?:mutable\b\s*)?(?:noexcept\b[^{]*)?(?:->[^{]*)?$"
 )
-CLASS_HEAD = re.compile(r"\b(?:class|struct)\s+(?:VMLP_\w+\s*\(\s*\"[^\"]*\"\s*\)\s*)?([A-Za-z_]\w*)[^;{]*$")
+# An out-of-line nested class (`class Outer::Inner {`) is named by its last
+# component, the class whose members the body defines.
+CLASS_HEAD = re.compile(
+    r"\b(?:class|struct)\s+(?:VMLP_\w+\s*\(\s*\"[^\"]*\"\s*\)\s*)?"
+    r"(?:[A-Za-z_]\w*\s*::\s*)*([A-Za-z_]\w*)[^;{]*$"
+)
 ENUM_HEAD = re.compile(r"\benum\b")
 NAMESPACE_HEAD = re.compile(r"\bnamespace\s+([A-Za-z_][\w:]*)?\s*$")
 FUNC_HEAD = re.compile(
@@ -206,10 +211,12 @@ class Scope:
             if s.name:
                 names.add(s.name)
                 # Qualified function names contribute each component
-                # (SelfOrganizing::admit_stage -> both parts).
+                # (SelfOrganizing::admit_stage -> both parts); a destructor
+                # also contributes its class (~PolicyScope -> PolicyScope).
                 for part in s.name.split("::"):
                     if part:
                         names.add(part)
+                        names.add(part.lstrip("~"))
         return names
 
 
