@@ -73,6 +73,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "exp/timed_scheduler.h"
 #include "exp/trial_runner.h"
 #include "obs/collector.h"
 #include "sim/engine.h"
@@ -84,6 +85,23 @@ using Clock = std::chrono::steady_clock;
 
 double elapsed_sec(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// One run whose scheduler is wrapped in exp::TimedScheduler, with the host
+/// seconds spent inside its callbacks (and the driver work they run
+/// synchronously): the placements/sec denominator.
+struct TimedRun {
+  exp::ExperimentResult result;
+  double policy_seconds = 0.0;
+};
+
+TimedRun run_timed(const exp::ExperimentConfig& config) {
+  const auto scheduler = exp::make_scheduler(config.scheme, config.vmlp, config.seed);
+  exp::TimedScheduler timed(*scheduler);
+  TimedRun r;
+  r.result = exp::run_experiment(config, exp::build_trial_template(config), timed);
+  r.policy_seconds = timed.seconds();
+  return r;
 }
 
 // ---- 1. event-engine microbenchmark ---------------------------------------
@@ -217,15 +235,15 @@ struct ScaleRun {
 
 ScaleRun run_scale(const exp::ExperimentConfig& config) {
   const auto start = Clock::now();
-  const auto result = vmlp::exp::run_experiment(config);
+  const TimedRun timed = run_timed(config);
+  const sched::RunResult& run = timed.result.run;
   ScaleRun r;
   r.wall_ms = elapsed_sec(start) * 1000.0;
-  r.arrived = result.run.arrived;
-  r.completed = result.run.completed;
-  r.placements = result.run.placements;
-  if (result.run.policy_seconds > 0) {
-    r.placements_per_sec =
-        static_cast<double>(result.run.placements) / result.run.policy_seconds;
+  r.arrived = run.arrived;
+  r.completed = run.completed;
+  r.placements = run.placements;
+  if (timed.policy_seconds > 0) {
+    r.placements_per_sec = static_cast<double>(run.placements) / timed.policy_seconds;
   }
   return r;
 }
@@ -379,8 +397,8 @@ int main(int argc, char** argv) {
   }
 
   // 4. Admission throughput on a contended cell. The denominator is
-  // RunResult::policy_seconds — host time spent inside scheduler callbacks
-  // (admission, planning, ledger bookings) — not the whole-run wall clock:
+  // exp::TimedScheduler's host time inside scheduler callbacks (admission,
+  // planning, ledger bookings) — not the whole-run wall clock:
   // the execution model / event engine / tracing form a fixed floor that
   // would otherwise drown the admission machinery this metric exists to
   // track.
@@ -399,14 +417,15 @@ int main(int argc, char** argv) {
   sched_config.pattern_params.base_rate *= kContentionMult;
   sched_config.pattern_params.l2_min_rate *= kContentionMult;
   sched_config.pattern_params.l2_max_step *= kContentionMult;
-  const auto result = vmlp::exp::run_experiment(sched_config);
-  const double policy_sec = result.run.policy_seconds;
-  if (result.run.placements == 0 || policy_sec <= 0) {
+  const TimedRun timed = run_timed(sched_config);
+  const vmlp::sched::RunResult& result = timed.result.run;
+  const double policy_sec = timed.policy_seconds;
+  if (result.placements == 0 || policy_sec <= 0) {
     std::cerr << "FAIL: no placements or zero policy time recorded — the sched.* metric "
                  "would be vacuous\n";
     return 1;
   }
-  const double placements = static_cast<double>(result.run.placements);
+  const double placements = static_cast<double>(result.placements);
   metrics.emplace_back("sched.placements_per_sec", placements / policy_sec);
   std::fprintf(stderr, "  %.0f placements/sec\n", placements / policy_sec);
   }

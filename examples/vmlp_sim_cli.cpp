@@ -30,10 +30,13 @@
 // writing the report file.
 //
 // The telemetry exports can also be requested on the command line (they
-// override the INI keys):
+// override the INI keys), here all three at once:
 //
-//   $ ./vmlp_sim_cli myrun.ini --metrics run_metrics.prom --trace-out run_trace.json \
-//       --attribution run_blame.txt
+//   $ ./vmlp_sim_cli myrun.ini --metrics run_metrics.prom --trace-out run_trace.json
+//         --attribution run_blame.txt
+//
+// The scheduler runs wrapped in exp::TimedScheduler, which records the
+// trace's host-clock policy lane.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -43,6 +46,7 @@
 #include "common/error.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
+#include "exp/timed_scheduler.h"
 #include "loadgen/replay.h"
 #include "trace/export.h"
 #include "workloads/suite.h"
@@ -145,7 +149,8 @@ int main(int argc, char** argv) {
     const auto arrivals =
         loadgen::generate_arrivals(pattern, mix, arrival_rng, config.qps_scale);
 
-    sched::SimulationDriver driver(*application, *scheduler, dp);
+    exp::TimedScheduler timed(*scheduler);
+    sched::SimulationDriver driver(*application, timed, dp);
     driver.load_arrivals(arrivals);
     const sched::RunResult result = driver.run();
 

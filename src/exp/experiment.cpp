@@ -88,6 +88,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config, const TrialTemplate& tpl) {
+  const auto scheduler = make_scheduler(config.scheme, config.vmlp, config.seed);
+  return run_experiment(config, tpl, *scheduler);
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& config, const TrialTemplate& tpl,
+                                sched::IScheduler& scheduler) {
   const app::Application& application = *tpl.application;
 
   sched::DriverParams driver_params = config.driver;
@@ -100,8 +106,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const TrialTempl
                                                       Rng(config.seed).fork("pattern").seed());
   Rng arrival_rng = Rng(config.seed).fork("arrivals");
 
-  auto scheduler = make_scheduler(config.scheme, config.vmlp, config.seed);
-  sched::SimulationDriver driver(application, *scheduler, driver_params);
+  sched::SimulationDriver driver(application, scheduler, driver_params);
   if (config.stream_arrivals) {
     // `pattern` outlives `driver` in this scope, which is all the stream's
     // borrowed pattern pointer needs.

@@ -101,6 +101,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 /// overload (tests/test_trial_runner.cpp pins this).
 ExperimentResult run_experiment(const ExperimentConfig& config, const TrialTemplate& tpl);
 
+/// As above, driving `scheduler` instead of make_scheduler(config.scheme,
+/// config.vmlp, config.seed) — for a caller that wraps that scheduler, as
+/// TimedScheduler does to time its callbacks. `scheduler` must be fresh.
+ExperimentResult run_experiment(const ExperimentConfig& config, const TrialTemplate& tpl,
+                                sched::IScheduler& scheduler);
+
 /// Execute a grid of configurations in parallel over a thread pool
 /// (0 threads = hardware concurrency). Results align with the input order.
 std::vector<ExperimentResult> run_grid(const std::vector<ExperimentConfig>& grid,

@@ -64,7 +64,7 @@ class RequestMix {
 
 /// Streaming arrival iterator: the thinning loop of generate_arrivals as a
 /// pull-based source, so a 10^6-request scale run schedules arrivals one at a
-/// time (the driver chains each pull off the previous arrival event) and
+/// time (the engine pulls each one when the previous arrival fires) and
 /// never materializes the arrival vector. Draw-for-draw identical to the bulk
 /// generator — same candidate walk, same rng draw order — so draining a
 /// stream reproduces generate_arrivals byte-for-byte.

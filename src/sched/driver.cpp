@@ -1,45 +1,13 @@
 #include "sched/driver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/audit.h"
 #include "common/error.h"
 
 namespace vmlp::sched {
-
-/// Scoped host-clock accumulator around a scheduler callback. Only the
-/// outermost scope on a callback chain accumulates, so a policy that
-/// synchronously triggers another callback (place -> immediate start ->
-/// on_node_started) is not double-counted. Host time never influences
-/// simulation decisions — it only feeds RunResult::policy_seconds and, when
-/// telemetry is on, the collector's host-clock profiling slices (which only
-/// the Perfetto exporter reads; no byte-compared output includes them).
-class SimulationDriver::PolicyScope {
- public:
-  PolicyScope(SimulationDriver& driver, obs::PolicyCallback kind) : d_(driver), kind_(kind) {
-    if (d_.policy_depth_++ == 0) start_ = std::chrono::steady_clock::now();
-  }
-  ~PolicyScope() {
-    if (--d_.policy_depth_ == 0) {
-      const auto ns = [](std::chrono::steady_clock::duration d) {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
-      };
-      const auto end = std::chrono::steady_clock::now();
-      const std::int64_t dur = ns(end - start_);
-      d_.policy_ns_ += dur;
-      if (d_.obs_ != nullptr) d_.obs_->policy_slice(kind_, ns(start_ - d_.policy_epoch_), dur);
-    }
-  }
-  PolicyScope(const PolicyScope&) = delete;
-  PolicyScope& operator=(const PolicyScope&) = delete;
-
- private:
-  SimulationDriver& d_;
-  obs::PolicyCallback kind_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 namespace {
 using app::NodeState;
@@ -80,6 +48,7 @@ SimulationDriver::SimulationDriver(const app::Application& application, ISchedul
       cluster_.machine(MachineId(static_cast<std::uint32_t>(m))).ledger().set_observer(obs_.get());
     }
   }
+  engine_.set_arrival_handler([this](std::uint32_t type) { on_arrival(RequestTypeId(type)); });
   running_on_.resize(cluster_.machine_count());
   volatility_cache_.resize(app_.request_count(), 0.0);
   for (const auto& rt : app_.requests()) {
@@ -110,12 +79,8 @@ void SimulationDriver::warmup_profiles() {
 }
 
 void SimulationDriver::load_arrivals(const std::vector<loadgen::Arrival>& arrivals) {
-  // Arrival events dominate the initial pending set; pre-sizing the pool puts
-  // the growth doublings up front (and inside the shard arena when bound)
-  // instead of spread across the first half of the run.
-  engine_.reserve(arrivals.size() + arrivals.size() / 4 + 64);
   if (params_.trace_spans && !params_.trace_release_completed) {
-    // Same idea for span slots: one span per executed node, estimated from
+    // Pre-size the span slots: one span per executed node, estimated from
     // the suite's mean DAG width. Release mode stays small by recycling.
     std::size_t node_sum = 0;
     for (const auto& rt : app_.requests()) node_sum += rt.size();
@@ -125,26 +90,18 @@ void SimulationDriver::load_arrivals(const std::vector<loadgen::Arrival>& arriva
   }
   for (const auto& a : arrivals) {
     VMLP_CHECK_MSG(a.time >= 0 && a.time < params_.horizon, "arrival outside horizon");
-    engine_.schedule_at(a.time, [this, type = a.type] { on_arrival(type); });
+    engine_.add_arrival(a.time, a.type.value());
   }
 }
 
 void SimulationDriver::stream_arrivals(loadgen::ArrivalStream stream) {
-  VMLP_CHECK_MSG(!arrival_stream_.has_value(), "stream_arrivals() called twice");
   VMLP_CHECK_MSG(!ran_, "stream_arrivals() after run()");
-  arrival_stream_.emplace(std::move(stream));
-  schedule_next_stream_arrival();
-}
-
-void SimulationDriver::schedule_next_stream_arrival() {
-  const auto next = arrival_stream_->next();
-  if (!next.has_value()) return;  // stream drained; no more arrival events
-  VMLP_CHECK_MSG(next->time >= 0 && next->time < params_.horizon, "arrival outside horizon");
-  // Chain: pull the successor from inside this arrival's event, so exactly
-  // one un-fired arrival is pending at any moment (O(1) arrival state).
-  engine_.schedule_at(next->time, [this, type = next->type] {
-    schedule_next_stream_arrival();
-    on_arrival(type);
+  engine_.stream_arrivals([this, stream = std::move(stream)]() mutable
+                          -> std::optional<sim::Engine::Arrival> {
+    const auto next = stream.next();
+    if (!next.has_value()) return std::nullopt;  // drained; the lane stops
+    VMLP_CHECK_MSG(next->time >= 0 && next->time < params_.horizon, "arrival outside horizon");
+    return sim::Engine::Arrival{next->time, next->type.value()};
   });
 }
 
@@ -154,7 +111,6 @@ void SimulationDriver::on_arrival(RequestTypeId type) {
   requests_.push_back(std::make_unique<ActiveRequest>(app_.request(type), rid, engine_.now()));
   tracer_.on_request_arrival(rid, type, engine_.now());
   ++arrived_;
-  PolicyScope scope(*this, obs::PolicyCallback::kArrival);
   scheduler_.on_request_arrival(rid);
 }
 
@@ -422,7 +378,6 @@ void SimulationDriver::schedule_start_attempt(ActiveRequest& ar, std::size_t nod
     ActiveRequest* r = find_request(rid);
     if (r == nullptr || r->runtime.node(node).state != NodeState::kPlaced) return;
     ++counters_.late_events;
-    PolicyScope scope(*this, obs::PolicyCallback::kLateInvocation);
     scheduler_.on_late_invocation(rid, node);
   };
 
@@ -488,7 +443,6 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
       if (dn.early_denial_streak >= DriverNode::kStuckThreshold && !dn.stuck_notified) {
         dn.stuck_notified = true;
         ++counters_.late_events;
-        PolicyScope scope(*this, obs::PolicyCallback::kLateInvocation);
         scheduler_.on_late_invocation(id, node);
       }
       return;
@@ -537,7 +491,6 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
   }
 
   recompute_machine(machine);
-  PolicyScope scope(*this, obs::PolicyCallback::kNodeStarted);
   scheduler_.on_node_started(id, node);
 }
 
@@ -672,10 +625,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   for (std::size_t child : children) {
     if (ar->runtime.node(child).pending_parents == 0) handle_parent_finished(*ar, child);
   }
-  {
-    PolicyScope scope(*this, obs::PolicyCallback::kNodeFinished);
-    scheduler_.on_node_finished(id, node);
-  }
+  scheduler_.on_node_finished(id, node);
 
   if (ar->runtime.finished()) {
     tracer_.on_request_completion(id, t);
@@ -686,10 +636,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     if (params_.attribution && params_.trace_spans) attribute_request(*ar, id);
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->runtime.arrival()));
     ++completed_;
-    {
-      PolicyScope scope(*this, obs::PolicyCallback::kRequestFinished);
-      scheduler_.on_request_finished(id);
-    }
+    scheduler_.on_request_finished(id);
     requests_[id.value() - front_id_].reset();
     while (!requests_.empty() && requests_.front() == nullptr) {
       requests_.pop_front();
@@ -746,7 +693,6 @@ void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t chi
     schedule_start_attempt(ar, child);
   } else {
     transition(ar, child, NodeState::kReady);
-    PolicyScope scope(*this, obs::PolicyCallback::kNodeUnblocked);
     scheduler_.on_node_unblocked(ar.runtime.id(), child);
   }
 }
@@ -880,10 +826,7 @@ void SimulationDriver::crash_machine(MachineId machine) {
       }
       // Nothing executed, so no retry is charged: deps-met nodes go straight
       // back to the scheduler; the rest re-enter via handle_parent_finished.
-      if (nr.pending_parents == 0) {
-        PolicyScope scope(*this, obs::PolicyCallback::kNodeOrphaned);
-        scheduler_.on_node_orphaned(id, node);
-      }
+      if (nr.pending_parents == 0) scheduler_.on_node_orphaned(id, node);
     }
   }
   // Interference phantoms stay: their removal events are already queued and
@@ -974,7 +917,6 @@ void SimulationDriver::schedule_retry(ActiveRequest& ar, std::size_t node) {
     // again meanwhile, and ready implies its dependencies are met.
     ActiveRequest* r = find_request(id);
     if (r == nullptr || r->runtime.node(node).state != NodeState::kReady) return;
-    PolicyScope scope(*this, obs::PolicyCallback::kNodeOrphaned);
     scheduler_.on_node_orphaned(id, node);
   });
 }
@@ -998,9 +940,6 @@ void SimulationDriver::invocation_timeout(RequestId id, std::size_t node) {
 RunResult SimulationDriver::run() {
   VMLP_CHECK_MSG(!ran_, "run() called twice");
   ran_ = true;
-  // analyze: allow(host-clock): epoch for obs policy-profiling slices only;
-  // host time never feeds a simulation decision (zero-perturbation contract).
-  policy_epoch_ = std::chrono::steady_clock::now();
   if (obs_ != nullptr) {
     obs_->set_gauge(obs_->failure().windows_planned,
                     static_cast<double>(failure_schedule_.size()));
@@ -1009,10 +948,7 @@ RunResult SimulationDriver::run() {
   monitor_.attach(engine_);
   schedule_next_interference();
   schedule_failures();
-  engine_.schedule_periodic(params_.tick, params_.tick, [this] {
-    PolicyScope scope(*this, obs::PolicyCallback::kTick);
-    scheduler_.on_tick();
-  });
+  engine_.schedule_periodic(params_.tick, params_.tick, [this] { scheduler_.on_tick(); });
   if (params_.ledger_compact_period > 0) {
     engine_.schedule_periodic(params_.ledger_compact_period, params_.ledger_compact_period,
                               [this] {
@@ -1049,7 +985,6 @@ RunResult SimulationDriver::run() {
   result.throughput_rps =
       static_cast<double>(completed_) / (static_cast<double>(params_.horizon) / kSec);
   result.placements = counters_.placements;
-  result.policy_seconds = static_cast<double>(policy_ns_) * 1e-9;
 
   result.machine_crashes = counters_.machine_crashes;
   result.container_faults = counters_.container_faults;

@@ -23,10 +23,8 @@
 //    edge goes through transition(), which runs its hooks once (DESIGN.md §5).
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "app/application.h"
@@ -103,7 +101,8 @@ struct DriverParams {
   /// only runs under VMLP_AUDIT, which asserts the exact phase-sum
   /// identity).
   bool attribution = false;
-  /// Telemetry (metrics registry + decision-event ring + policy profiling).
+  /// Telemetry (metrics registry + decision-event ring, plus the host-clock
+  /// policy slices a timing decorator around the scheduler records).
   /// Strictly write-only for the simulation: enabling it cannot change any
   /// RunResult byte (determinism_check claim 6).
   obs::Params obs;
@@ -194,12 +193,6 @@ struct RunResult {
   double mean_latency_us = 0.0;
   double throughput_rps = 0.0;  ///< completions / horizon
   std::size_t placements = 0;   ///< successful place() calls (admission decisions)
-  /// Wall-clock seconds spent inside scheduler policy callbacks, including
-  /// driver work they invoke synchronously (place/ledger bookings). This is
-  /// the denominator of the perf harness's placements-per-second metric —
-  /// host timing, NOT simulated time, so it is nondeterministic and must
-  /// never feed a byte-compared output.
-  double policy_seconds = 0.0;
 
   // Failure-robustness metrics (all zero when failure injection is off).
   std::size_t machine_crashes = 0;
@@ -221,15 +214,18 @@ class SimulationDriver {
   SimulationDriver(const app::Application& application, IScheduler& scheduler,
                    DriverParams params);
 
-  /// Queue a pre-generated arrival stream (sorted or not).
+  /// Queue a pre-generated arrival stream (sorted or not) on the engine's
+  /// arrival lane. Every arrival takes its engine sequence number here, so
+  /// it fires before any event scheduled later for its timestamp.
   void load_arrivals(const std::vector<loadgen::Arrival>& arrivals);
-  /// Streamed arrival mode: pull arrivals from `stream` one at a time, each
-  /// arrival event chaining the next pull — a 10^6-request scale run keeps
-  /// O(1) arrival state instead of materializing the vector. NOT
-  /// byte-identical to load_arrivals over the drained stream (engine
-  /// sequence numbers interleave differently, so same-timestamp ties can
-  /// order differently); a streamed run is deterministic in itself and
-  /// admits exactly the arrivals the bulk path would.
+  /// Streamed arrival mode: the engine's arrival lane pulls from `stream`
+  /// one arrival at a time — a 10^6-request scale run keeps O(1) arrival
+  /// state instead of materializing the vector. Each arrival is pulled, and
+  /// takes its sequence number, when its predecessor fires, so it ties after
+  /// the events scheduled before that moment. That makes a streamed run NOT
+  /// byte-identical to load_arrivals over the drained stream (same-timestamp
+  /// ties can order differently); it is deterministic in itself and admits
+  /// exactly the arrivals the bulk path would.
   void stream_arrivals(loadgen::ArrivalStream stream);
   /// Run to the horizon and finalize accounting. Returns the result summary.
   RunResult run();
@@ -326,8 +322,6 @@ class SimulationDriver {
  private:
   void warmup_profiles();
   void on_arrival(RequestTypeId type);
-  /// Pull the next arrival from arrival_stream_ and schedule it (chained).
-  void schedule_next_stream_arrival();
   void schedule_next_interference();
   void inject_interference();
   void schedule_failures();
@@ -391,9 +385,6 @@ class SimulationDriver {
   monitor::ClusterMonitor monitor_;
   stats::QosTracker qos_;
 
-  /// Host-time scope around one scheduler callback (defined in the .cpp).
-  class PolicyScope;
-
   /// One running instance on a machine. Caches the ActiveRequest pointer so
   /// the per-firing re-rate loop in recompute_machine() skips the request
   /// lookup; the pointer is stable (the window holds unique_ptrs) and the
@@ -424,16 +415,7 @@ class SimulationDriver {
   std::size_t arrived_ = 0;
   std::size_t completed_ = 0;
   Counters counters_;
-  /// Accumulated host-clock nanoseconds inside scheduler callbacks (see
-  /// RunResult::policy_seconds). The depth counter keeps re-entrant
-  /// callback chains from double-counting the nested interval.
-  std::int64_t policy_ns_ = 0;
-  int policy_depth_ = 0;
-  /// Host-clock origin for policy-profiling slices (set when run() starts).
-  std::chrono::steady_clock::time_point policy_epoch_;
   std::unique_ptr<obs::Collector> obs_;  ///< null when telemetry is off
-  /// Live arrival source in streamed mode (empty in bulk mode).
-  std::optional<loadgen::ArrivalStream> arrival_stream_;
   bool ran_ = false;
 };
 

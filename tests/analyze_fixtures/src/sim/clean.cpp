@@ -1,6 +1,5 @@
 // Clean fixture: every construct here skirts a rule without violating it.
 // The analyzer must report nothing for this TU.
-#include <chrono>
 #include <map>
 #include <unordered_map>
 
@@ -13,33 +12,6 @@ class Rng {
 };
 
 namespace sim {
-
-// Whitelisted host-clock scope.
-class PolicyScope {
- public:
-  void begin() { start_ = std::chrono::steady_clock::now(); }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-class Driver {
-  class PolicyScope;
-};
-
-// Out-of-line nested whitelisted scope, shaped like sched/driver.cpp's: the
-// clock read after the lambda in the destructor is still inside PolicyScope.
-class Driver::PolicyScope {
- public:
-  ~PolicyScope() {
-    const auto ns = [](long long count) { return count / 1000; };
-    const auto end = std::chrono::steady_clock::now();
-    end_us_ = ns(end.time_since_epoch().count());
-  }
-
- private:
-  long long end_us_ = 0;
-};
 
 class Accumulator {
  public:

@@ -1,7 +1,13 @@
-// Experiment harness: factory, single runs, parallel grid determinism.
+// Experiment harness: factory, single runs, parallel grid determinism, and
+// the TimedScheduler decorator.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "exp/experiment.h"
+#include "exp/timed_scheduler.h"
 
 namespace vmlp::exp {
 namespace {
@@ -116,6 +122,60 @@ TEST(Experiment, ResultConfigEchoed) {
   const auto r = run_experiment(c);
   EXPECT_EQ(r.config.scheme, SchemeKind::kCurSched);
   EXPECT_EQ(r.config.seed, c.seed);
+}
+
+
+/// Every RunResult field at full precision.
+std::string result_text(const sched::RunResult& r) {
+  std::ostringstream os;
+  os << std::setprecision(17) << r.arrived << ' ' << r.completed << ' ' << r.unfinished << ' '
+     << r.qos_violation_rate << ' ' << r.mean_utilization << ' ' << r.p50_latency_us << ' '
+     << r.p90_latency_us << ' ' << r.p99_latency_us << ' ' << r.mean_latency_us << ' '
+     << r.throughput_rps << ' ' << r.placements << ' ' << r.machine_crashes << ' '
+     << r.container_faults << ' ' << r.invocation_timeouts << ' ' << r.orphaned_nodes << ' '
+     << r.retries << ' ' << r.abandoned_requests << ' ' << r.orphaned_mean_latency_us << ' '
+     << r.orphaned_p99_latency_us << ' ' << r.goodput_rps;
+  return os.str();
+}
+
+void expect_timing_is_invisible(const ExperimentConfig& config) {
+  const TrialTemplate tpl = build_trial_template(config);
+  const ExperimentResult plain = run_experiment(config, tpl);
+  const auto inner = make_scheduler(config.scheme, config.vmlp, config.seed);
+  TimedScheduler timed(*inner);
+  const ExperimentResult wrapped = run_experiment(config, tpl, timed);
+
+  EXPECT_EQ(result_text(wrapped.run), result_text(plain.run));
+  EXPECT_EQ(wrapped.utilization_series, plain.utilization_series);
+  EXPECT_EQ(timed.name(), inner->name());
+  EXPECT_GT(timed.seconds(), 0.0);
+  ASSERT_TRUE(wrapped.obs.enabled);
+  const auto counter = [&](const char* name) {
+    const obs::MetricSnapshot* m = wrapped.obs.snapshot.find(name);
+    return m != nullptr ? m->counter : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(timed.stat(obs::PolicyCallback::kArrival).calls, counter("driver.requests_arrived"));
+  EXPECT_EQ(timed.stat(obs::PolicyCallback::kLateInvocation).calls, counter("driver.lates_fired"));
+  EXPECT_GT(timed.stat(obs::PolicyCallback::kLateInvocation).calls, 0u);
+  // With a collector attached, the decorator fills the host-clock policy
+  // lane; the bare driver records none.
+  EXPECT_FALSE(wrapped.obs.policy_slices.empty());
+  EXPECT_TRUE(plain.obs.policy_slices.empty());
+}
+
+TEST(TimedScheduler, VmlpRunIsByteIdenticalWrapped) {
+  ExperimentConfig c = small_config();
+  c.driver.obs.enabled = true;
+  expect_timing_is_invisible(c);
+}
+
+TEST(TimedScheduler, FairSchedCrashRunIsByteIdenticalWrapped) {
+  ExperimentConfig c = small_config();
+  c.scheme = SchemeKind::kFairSched;
+  c.driver.failure.enabled = true;
+  c.driver.failure.crashes_per_second = 1.0;
+  c.driver.obs.enabled = true;
+  expect_timing_is_invisible(c);
 }
 
 }  // namespace

@@ -8,10 +8,10 @@ need scope structure and variable types, not line patterns:
   [host-clock]       Wall-clock reads (std::chrono::{system,steady,
                      high_resolution}_clock::now, time(), clock(),
                      gettimeofday, ...) anywhere in the simulation core
-                     (src/{sim,sched,mlp,cluster,app,loadgen}) outside the
-                     whitelisted host-profiling scopes (class PolicyScope and
-                     src/obs/). Host time leaking into a decision breaks the
-                     single-seed byte-stability every figure rests on.
+                     (src/{sim,sched,mlp,cluster,app,loadgen}); no scope
+                     there is exempt. Host time leaking into a decision
+                     breaks the single-seed byte-stability every figure
+                     rests on.
 
   [rng-by-value]     A vmlp::Rng passed or captured by value silently forks
                      nothing: both copies replay the same substream
@@ -205,19 +205,6 @@ class Scope:
     def in_engine_callback(self) -> bool:
         return any(s.engine_callback for s in self.chain())
 
-    def enclosing_names(self) -> set:
-        names = set()
-        for s in self.chain():
-            if s.name:
-                names.add(s.name)
-                # Qualified function names contribute each component
-                # (SelfOrganizing::admit_stage -> both parts); a destructor
-                # also contributes its class (~PolicyScope -> PolicyScope).
-                for part in s.name.split("::"):
-                    if part:
-                        names.add(part)
-                        names.add(part.lstrip("~"))
-        return names
 
 
 def classify_header(header: str, lambda_engine: bool):
@@ -503,7 +490,6 @@ CLOCK_CALLS = [
      "clock_gettime()/gettimeofday()"),
     (re.compile(r"(?<![\w:.>])(?:localtime|gmtime|mktime)\s*\("), "calendar time"),
 ]
-HOST_CLOCK_SCOPE_WHITELIST = {"PolicyScope"}
 
 
 def check_host_clock(ctx, findings):
@@ -514,15 +500,11 @@ def check_host_clock(ctx, findings):
             m = pattern.search(line)
             if not m:
                 continue
-            offset = ctx.line_offsets[lineno - 1] + m.start()
-            scope = scope_at(ctx.scopes, offset)
-            names = scope.enclosing_names() if scope else set()
-            if names & HOST_CLOCK_SCOPE_WHITELIST:
-                continue
             ctx.emit(findings, lineno, "host-clock",
                      f"{name} in the simulation core: host time must never reach "
-                     "a decision; confine profiling to PolicyScope / obs paths "
-                     "or waive with `// analyze: allow(host-clock): <reason>`")
+                     "a decision; time policy from outside the core "
+                     "(exp::TimedScheduler) or waive with "
+                     "`// analyze: allow(host-clock): <reason>`")
 
 
 RNG_PARAM = re.compile(r"[(,]\s*(?:vmlp\s*::\s*)?Rng\s+(\w+)\s*(?=[,)])")
